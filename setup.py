@@ -1,13 +1,20 @@
 """Builds the optional compiled kernel extension.
 
-The package is fully functional without it (carrymul.kernels falls back to
-the pure-Python backend), so a missing compiler or Cython only costs speed.
+``carrymul._speedups`` is one hand-written C file against the CPython API,
+built by any C compiler; no code generator is involved.  The package is
+fully functional without it (carrymul.kernels falls back to the pure-Python
+backend), so a missing compiler only costs speed.
+
+``EXTENSION`` is importable without running ``setup()``, so the test suite
+builds the same extension this script does.
 """
 
 import sys
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
+
+EXTENSION = Extension("carrymul._speedups", ["src/carrymul/_speedups.c"])
 
 
 class optional_build_ext(build_ext):
@@ -32,15 +39,5 @@ class optional_build_ext(build_ext):
         )
 
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("carrymul._speedups", ["src/carrymul/_speedups.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    print("warning: Cython not found; skipping the compiled kernels", file=sys.stderr)
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})
+if __name__ == "__main__":
+    setup(ext_modules=[EXTENSION], cmdclass={"build_ext": optional_build_ext})

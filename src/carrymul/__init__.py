@@ -7,8 +7,9 @@ comparison.  A per-step invariant checker, an independent double-and-add
 oracle, differential verification drivers and digit-operation counters make
 every claim about the algorithms directly testable.
 
-The digit kernels run on a compiled extension when it is built and fall
-back to a pure-Python implementation otherwise; see ``carrymul.kernels``.
+The hot digit kernels run on a small hand-written C extension when it is
+built and fall back to the pure-Python spec otherwise; see
+``carrymul.kernels``.
 """
 
 from carrymul import errors

@@ -1,8 +1,11 @@
 """Pure-Python digit-vector kernels.
 
-This is the reference backend.  ``carrymul._speedups`` is a compiled mirror
-of this module; the two must stay behaviourally identical, counters included
-(see tests/test_backends.py).
+This is the reference backend and the spec.  ``carrymul._speedups`` (one
+hand-written C file) is a compiled mirror of its six hot kernels: add,
+mul_by_digit, incremental, schoolbook, check_invariant and oracle_mul.  On
+valid input the two must stay identical, counters included (see
+tests/test_backends.py); the C kernels also reject a digit that is not an
+int in 0..base-1.  The remaining helpers live here only.
 
 Representation: a natural number is a ``list[int]`` of digits, little-endian
 (index i holds the coefficient of base**i), canonical (no trailing high-order

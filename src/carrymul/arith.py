@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from carrymul import kernels
+from carrymul import _kernels_py, kernels
 from carrymul.digits import Natural, require_same_base
 
 
@@ -41,8 +41,8 @@ def add(a: Natural, b: Natural, counters: OpCounters | None = None) -> Natural:
 
 def mul_by_digit(a: Natural, d: int, counters: OpCounters | None = None) -> Natural:
     """Multiply a multi-digit value by one digit of the same base."""
-    if not 0 <= d < a.base:
-        raise ValueError(f"{d} is not a base-{a.base} digit")
+    if type(d) is not int or not 0 <= d < a.base:
+        raise ValueError(f"{d!r} is not a base-{a.base} digit")
     digits, mults, adds = kernels.impl.mul_by_digit(list(a.digits), d, a.base)
     if counters is not None:
         counters.digit_mults += mults
@@ -52,7 +52,7 @@ def mul_by_digit(a: Natural, d: int, counters: OpCounters | None = None) -> Natu
 
 def divmod_base(n: Natural) -> tuple[Natural, int]:
     """(n with the units digit removed, units digit)."""
-    q, r = kernels.impl.divmod_base(list(n.digits))
+    q, r = _kernels_py.divmod_base(n.digits)
     return Natural(tuple(q), n.base), r
 
 
@@ -60,4 +60,4 @@ def shift(n: Natural, k: int) -> Natural:
     """n * base**k; zero shifts to zero without phantom digits."""
     if k < 0:
         raise ValueError("shift count must be non-negative")
-    return Natural(tuple(kernels.impl.shift(list(n.digits), k)), n.base)
+    return Natural(tuple(_kernels_py.shift(n.digits, k)), n.base)

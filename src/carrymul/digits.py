@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from carrymul import kernels
+from carrymul import _kernels_py
 from carrymul.errors import (
     BaseMismatch,
     BaseOutOfRange,
@@ -48,10 +48,11 @@ class Natural:
     base: int
 
     def __post_init__(self):
-        check_base(self.base)
-        for i, d in enumerate(self.digits):
-            if not 0 <= d < self.base:
-                raise DigitOutOfRange(i, d, self.base)
+        base = check_base(self.base)
+        for d in self.digits:
+            if type(d) is not int or not 0 <= d < base:
+                i = next(i for i, x in enumerate(self.digits) if not _is_digit(x, base))
+                raise DigitOutOfRange(i, self.digits[i], base)
         if self.digits and self.digits[-1] == 0:
             raise ValueError("digit vector is not canonical (high-order zero)")
 
@@ -66,6 +67,11 @@ class Natural:
 
     def __len__(self):
         return len(self.digits)
+
+
+def _is_digit(d, base):
+    """Exact int (not bool, not float) in 0..base-1."""
+    return type(d) is int and 0 <= d < base
 
 
 def require_same_base(a: Natural, b: Natural):
@@ -86,7 +92,7 @@ def parse_natural(text: str, base: int) -> Natural:
             raise InvalidDigitGlyph(pos, ch, base)
         values.append(v)
     values.reverse()
-    return Natural(tuple(kernels.impl.normalize(values)), base)
+    return Natural(tuple(_kernels_py.normalize(values)), base)
 
 
 def render_natural(n: Natural) -> str:
@@ -108,15 +114,15 @@ def normalize(raw, base) -> Natural:
     check_base(base)
     values = list(raw)
     for i, d in enumerate(values):
-        if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < base:
+        if not _is_digit(d, base):
             raise DigitOutOfRange(i, d, base)
-    return Natural(tuple(kernels.impl.normalize(values)), base)
+    return Natural(tuple(_kernels_py.normalize(values)), base)
 
 
 def compare(a: Natural, b: Natural) -> int:
     """LESS (-1), EQUAL (0) or GREATER (1) by represented value."""
     require_same_base(a, b)
-    return kernels.impl.compare(list(a.digits), list(b.digits))
+    return _kernels_py.compare(a.digits, b.digits)
 
 
 def to_int(n: Natural) -> int:
@@ -132,11 +138,7 @@ def from_int(value: int, base: int) -> Natural:
     check_base(base)
     if value < 0:
         raise ValueError("naturals only")
-    digits = []
-    while value:
-        value, d = divmod(value, base)
-        digits.append(d)
-    return Natural(tuple(digits), base)
+    return Natural(tuple(int_to_digits(value, base)), base)
 
 
 def int_to_digits(value: int, base: int) -> list:

@@ -1,8 +1,12 @@
 """Backend selection: compiled extension when available, pure Python otherwise.
 
-``impl`` is the module the rest of the package calls into.  Both backends
-expose the same functions over little-endian digit lists (see
-``_kernels_py`` for the representation and counter conventions).
+``impl`` is the module the rest of the package calls into for the six hot
+kernels: ``add``, ``mul_by_digit``, ``incremental``, ``schoolbook``,
+``check_invariant`` and ``oracle_mul``.  Both backends expose them over
+little-endian digit lists (see ``_kernels_py`` for the representation and
+counter conventions).  The small helpers (``normalize``, ``compare``,
+``divmod_base``, ``shift``) exist only in ``_kernels_py`` and are called
+from there directly.
 """
 
 from carrymul import _kernels_py

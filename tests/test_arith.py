@@ -52,6 +52,9 @@ def test_mul_by_digit_derived():
 def test_mul_by_digit_rejects_non_digit():
     with pytest.raises(ValueError):
         mul_by_digit(n("12"), 10)
+    for bad in (1.5, True, -1):  # the same error on either kernel backend
+        with pytest.raises(ValueError):
+            mul_by_digit(n("12"), bad)
 
 
 def test_divmod_base():

@@ -124,3 +124,32 @@ def test_natural_rejects_non_canonical():
         Natural((12,), 10)
     with pytest.raises(errors.BaseOutOfRange):
         Natural((1,), 1)
+
+
+@pytest.mark.parametrize(
+    "digits, index",
+    [
+        ((1.5,), 0),
+        ((True,), 0),
+        ((1, True), 1),
+        ((3, 2.0, 1), 1),
+        (("1",), 0),
+        ((None,), 0),
+        ((4, -1), 1),
+        ((4, 10), 1),
+    ],
+    ids=repr,
+)
+def test_natural_rejects_hostile_digits(digits, index):
+    """Only exact ints in 0..base-1 are digits: a float or bool slipping in
+    used to flow into the kernels (1.5 times 3 came out as (4.5,))."""
+    with pytest.raises(errors.DigitOutOfRange) as exc:
+        Natural(digits, 10)
+    assert exc.value.index == index
+    assert exc.value.value is digits[index]
+
+
+def test_normalize_rejects_bool_and_float():
+    for bad in (True, 1.0):
+        with pytest.raises(errors.DigitOutOfRange):
+            normalize([bad], 10)
