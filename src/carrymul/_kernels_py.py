@@ -7,10 +7,16 @@ valid input the two must stay identical, counters included (see
 tests/test_backends.py); the C kernels also reject a digit that is not an
 int in 0..base-1.  The remaining helpers live here only.
 
-Representation: a natural number is a ``list[int]`` of digits, little-endian
+Representation: a natural number is a sequence of int digits, little-endian
 (index i holds the coefficient of base**i), canonical (no trailing high-order
-zeros), with zero as the empty list.  All kernels assume canonical inputs and
-produce canonical outputs.
+zeros), with zero as the empty sequence.  Kernels take lists or tuples and
+return lists.
+
+Output rule, which both backends must keep: given canonical inputs of exact
+ints in 0..base-1, every digit vector a kernel returns (results, step sums,
+carries, rows) is canonical and every digit it returns, emitted step digits
+included, is an exact int in 0..base-1.  The package wraps these outputs in
+``Natural`` without checking them again (``digits.wrap``).
 
 Counter conventions (fixed, so operation counts are deterministic):
   * add: one digit_add per digit position processed (max of the two lengths),

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from carrymul import kernels
 from carrymul.arith import OpCounters
-from carrymul.digits import Natural, require_same_base
-from carrymul.errors import DigitOutOfRange, WrongAlgorithm
+from carrymul.digits import Natural, check_digits, require_same_base, wrap
+from carrymul.errors import WrongAlgorithm
 
 INCREMENTAL = "incremental"
 SCHOOLBOOK = "schoolbook"
@@ -57,11 +57,9 @@ def incremental_multiply(a: Natural, b: Natural) -> Trace:
     digit and carry at zero.
     """
     base = require_same_base(a, b)
-    raw_steps, result, mults, adds = kernels.impl.incremental(
-        list(a.digits), list(b.digits), base
-    )
+    raw_steps, result, mults, adds = kernels.impl.incremental(a.digits, b.digits, base)
     steps = tuple(
-        StepRecord(k, Natural(tuple(s), base), r, Natural(tuple(c), base))
+        StepRecord(k, wrap(s, base), r, wrap(c, base))
         for k, (s, r, c) in enumerate(raw_steps)
     )
     return Trace(
@@ -71,24 +69,22 @@ def incremental_multiply(a: Natural, b: Natural) -> Trace:
         b=b,
         steps=steps,
         rows=(),
-        result=Natural(tuple(result), base),
+        result=wrap(result, base),
         counters=OpCounters(mults, adds),
     )
 
 
 def schoolbook_multiply(a: Natural, b: Natural) -> Trace:
     base = require_same_base(a, b)
-    raw_rows, result, mults, adds = kernels.impl.schoolbook(
-        list(a.digits), list(b.digits), base
-    )
+    raw_rows, result, mults, adds = kernels.impl.schoolbook(a.digits, b.digits, base)
     return Trace(
         algorithm=SCHOOLBOOK,
         base=base,
         a=a,
         b=b,
         steps=(),
-        rows=tuple(Natural(tuple(row), base) for row in raw_rows),
-        result=Natural(tuple(result), base),
+        rows=tuple(wrap(row, base) for row in raw_rows),
+        result=wrap(result, base),
         counters=OpCounters(mults, adds),
     )
 
@@ -104,19 +100,20 @@ def check_invariant(trace: Trace) -> list[bool]:
     """
     if trace.algorithm != INCREMENTAL:
         raise WrongAlgorithm(trace.algorithm)
-    for step in trace.steps:
-        if not 0 <= step.r < trace.base:
-            raise DigitOutOfRange(step.k, step.r, trace.base)
-    raw_steps = [(list(s.s.digits), s.r, list(s.c_next.digits)) for s in trace.steps]
+    # r is a bare int a caller may have set; s and c_next are Naturals
+    check_digits([s.r for s in trace.steps], trace.base)
+    raw_steps = [(s.s.digits, s.r, s.c_next.digits) for s in trace.steps]
     return kernels.impl.check_invariant(
-        list(trace.a.digits), list(trace.b.digits), raw_steps, trace.base
+        trace.a.digits, trace.b.digits, raw_steps, trace.base
     )
+
+
+# algorithm name -> the function that runs it and returns its Trace
+TRACED = {INCREMENTAL: incremental_multiply, SCHOOLBOOK: schoolbook_multiply}
 
 
 def multiply(a: Natural, b: Natural, algorithm: str = INCREMENTAL) -> Natural:
     """Product of a and b via the chosen algorithm."""
-    if algorithm == INCREMENTAL:
-        return incremental_multiply(a, b).result
-    if algorithm == SCHOOLBOOK:
-        return schoolbook_multiply(a, b).result
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in TRACED:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return TRACED[algorithm](a, b).result

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from carrymul import _kernels_py, kernels
-from carrymul.digits import Natural, require_same_base
+from carrymul.digits import Natural, require_same_base, wrap
 
 
 @dataclass
@@ -33,31 +33,31 @@ class OpCounters:
 
 def add(a: Natural, b: Natural, counters: OpCounters | None = None) -> Natural:
     base = require_same_base(a, b)
-    digits, adds = kernels.impl.add(list(a.digits), list(b.digits), base)
+    digits, adds = kernels.impl.add(a.digits, b.digits, base)
     if counters is not None:
         counters.digit_adds += adds
-    return Natural(tuple(digits), base)
+    return wrap(digits, base)
 
 
 def mul_by_digit(a: Natural, d: int, counters: OpCounters | None = None) -> Natural:
     """Multiply a multi-digit value by one digit of the same base."""
     if type(d) is not int or not 0 <= d < a.base:
         raise ValueError(f"{d!r} is not a base-{a.base} digit")
-    digits, mults, adds = kernels.impl.mul_by_digit(list(a.digits), d, a.base)
+    digits, mults, adds = kernels.impl.mul_by_digit(a.digits, d, a.base)
     if counters is not None:
         counters.digit_mults += mults
         counters.digit_adds += adds
-    return Natural(tuple(digits), a.base)
+    return wrap(digits, a.base)
 
 
 def divmod_base(n: Natural) -> tuple[Natural, int]:
     """(n with the units digit removed, units digit)."""
     q, r = _kernels_py.divmod_base(n.digits)
-    return Natural(tuple(q), n.base), r
+    return wrap(q, n.base), r
 
 
 def shift(n: Natural, k: int) -> Natural:
     """n * base**k; zero shifts to zero without phantom digits."""
-    if k < 0:
-        raise ValueError("shift count must be non-negative")
-    return Natural(tuple(_kernels_py.shift(n.digits, k)), n.base)
+    if type(k) is not int or k < 0:
+        raise ValueError(f"shift count must be a non-negative int, got {k!r}")
+    return wrap(_kernels_py.shift(n.digits, k), n.base)

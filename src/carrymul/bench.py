@@ -12,12 +12,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from carrymul.algorithms import (
-    INCREMENTAL,
-    SCHOOLBOOK,
-    incremental_multiply,
-    schoolbook_multiply,
-)
+from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK, TRACED
 from carrymul.arith import OpCounters
 from carrymul.digits import Natural, require_same_base
 
@@ -62,10 +57,9 @@ def compare_algorithms(a: Natural, b: Natural, reps: int = 1) -> BenchReport:
     if reps < 1:
         raise ValueError("reps must be >= 1")
 
-    runners = {INCREMENTAL: incremental_multiply, SCHOOLBOOK: schoolbook_multiply}
     counters = {}
     medians = {}
-    for alg, run in runners.items():
+    for alg, run in TRACED.items():
         times = []
         trace = None
         for _ in range(reps):
@@ -84,8 +78,8 @@ def compare_algorithms(a: Natural, b: Natural, reps: int = 1) -> BenchReport:
         len_b=len_b,
         reps=reps,
         counters=counters,
-        retained={alg: retained_intermediates(alg, len_b) for alg in runners},
-        stored={alg: stored_intermediates(alg, len_b) for alg in runners},
+        retained={alg: retained_intermediates(alg, len_b) for alg in TRACED},
+        stored={alg: stored_intermediates(alg, len_b) for alg in TRACED},
         final_sum_adds={INCREMENTAL: 0, SCHOOLBOOK: school_final},
         median_s=medians,
     )

@@ -90,10 +90,7 @@ def run(argv) -> int:
 
         if args.subcommand == "trace":
             a, b = _operands(args)
-            if args.algo == algorithms.INCREMENTAL:
-                trace = algorithms.incremental_multiply(a, b)
-            else:
-                trace = algorithms.schoolbook_multiply(a, b)
+            trace = algorithms.TRACED[args.algo](a, b)
             if args.format == "json":
                 sys.stdout.write(trace_io.render_trace_json(trace))
             else:
@@ -134,10 +131,7 @@ def run(argv) -> int:
             else:
                 print(trace_io.render_bench_text(report))
             return EXIT_OK
-    except Error as exc:
-        print(f"carrymul: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (Error, ValueError) as exc:
         print(f"carrymul: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

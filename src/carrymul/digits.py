@@ -48,11 +48,7 @@ class Natural:
     base: int
 
     def __post_init__(self):
-        base = check_base(self.base)
-        for d in self.digits:
-            if type(d) is not int or not 0 <= d < base:
-                i = next(i for i, x in enumerate(self.digits) if not _is_digit(x, base))
-                raise DigitOutOfRange(i, self.digits[i], base)
+        check_digits(self.digits, check_base(self.base))
         if self.digits and self.digits[-1] == 0:
             raise ValueError("digit vector is not canonical (high-order zero)")
 
@@ -69,9 +65,24 @@ class Natural:
         return len(self.digits)
 
 
-def _is_digit(d, base):
-    """Exact int (not bool, not float) in 0..base-1."""
-    return type(d) is int and 0 <= d < base
+def check_digits(digits, base):
+    """Raise DigitOutOfRange at the first item that is not an exact int (not
+    bool, not float) in 0..base-1: the one check on digits entering the
+    package."""
+    for i, d in enumerate(digits):
+        if type(d) is not int or not 0 <= d < base:
+            raise DigitOutOfRange(i, d, base)
+
+
+def wrap(digits, base) -> Natural:
+    """A Natural from digits known to be valid, skipping the checks: kernel
+    output from valid Naturals (see the output rule in _kernels_py), or
+    digits the calling entry point has just checked.  The fields are set in
+    __init__'s order so the instance dict stays key-shared and small."""
+    n = object.__new__(Natural)
+    object.__setattr__(n, "digits", tuple(digits))
+    object.__setattr__(n, "base", base)
+    return n
 
 
 def require_same_base(a: Natural, b: Natural):
@@ -92,14 +103,12 @@ def parse_natural(text: str, base: int) -> Natural:
             raise InvalidDigitGlyph(pos, ch, base)
         values.append(v)
     values.reverse()
-    return Natural(tuple(_kernels_py.normalize(values)), base)
+    return wrap(_kernels_py.normalize(values), base)
 
 
 def render_natural(n: Natural) -> str:
     """Most-significant-first string; zero renders as "0"."""
-    if not n.digits:
-        return "0"
-    return "".join(ALPHABET[d] for d in reversed(n.digits))
+    return render_digits(n.digits, n.base)
 
 
 def render_digits(digits, base) -> str:
@@ -111,12 +120,9 @@ def render_digits(digits, base) -> str:
 
 def normalize(raw, base) -> Natural:
     """Build a canonical Natural from carry-free digit values."""
-    check_base(base)
     values = list(raw)
-    for i, d in enumerate(values):
-        if not _is_digit(d, base):
-            raise DigitOutOfRange(i, d, base)
-    return Natural(tuple(_kernels_py.normalize(values)), base)
+    check_digits(values, check_base(base))
+    return wrap(_kernels_py.normalize(values), base)
 
 
 def compare(a: Natural, b: Natural) -> int:
@@ -127,17 +133,23 @@ def compare(a: Natural, b: Natural) -> int:
 
 def to_int(n: Natural) -> int:
     """Positional value as a plain int (test support; exact at any size)."""
+    return int_from_digits(n.digits, n.base)
+
+
+def int_from_digits(digits, base: int) -> int:
+    """Positional value of a raw little-endian digit list, in plain int
+    arithmetic only, so it shares no code with the kernels."""
     v = 0
-    for d in reversed(n.digits):
-        v = v * n.base + d
+    for d in reversed(digits):
+        v = v * base + d
     return v
 
 
 def from_int(value: int, base: int) -> Natural:
     """Decompose a non-negative int into a canonical Natural."""
     check_base(base)
-    if value < 0:
-        raise ValueError("naturals only")
+    if type(value) is not int or value < 0:
+        raise ValueError(f"naturals only, got {value!r}")
     return Natural(tuple(int_to_digits(value, base)), base)
 
 

@@ -3,10 +3,10 @@
 ``impl`` is the module the rest of the package calls into for the six hot
 kernels: ``add``, ``mul_by_digit``, ``incremental``, ``schoolbook``,
 ``check_invariant`` and ``oracle_mul``.  Both backends expose them over
-little-endian digit lists (see ``_kernels_py`` for the representation and
-counter conventions).  The small helpers (``normalize``, ``compare``,
-``divmod_base``, ``shift``) exist only in ``_kernels_py`` and are called
-from there directly.
+little-endian digit lists or tuples (see ``_kernels_py`` for the
+representation, the output rule and the counter conventions).  The small
+helpers (``normalize``, ``compare``, ``divmod_base``, ``shift``) exist only
+in ``_kernels_py`` and are called from there directly.
 """
 
 from carrymul import _kernels_py

@@ -22,9 +22,11 @@ from carrymul.digits import (
     MIN_BASE,
     Natural,
     check_base,
+    int_from_digits,
     int_to_digits,
     render_digits,
     require_same_base,
+    wrap,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -91,8 +93,7 @@ class VerifyReport:
 
 def oracle_multiply(a: Natural, b: Natural) -> Natural:
     base = require_same_base(a, b)
-    digits = kernels.impl.oracle_mul(list(a.digits), list(b.digits), base)
-    return Natural(tuple(digits), base)
+    return wrap(kernels.impl.oracle_mul(a.digits, b.digits, base), base)
 
 
 def _check_pair(ad, bd, base, expected, report):
@@ -102,11 +103,8 @@ def _check_pair(ad, bd, base, expected, report):
     _, res_sch, _, _ = impl.schoolbook(ad, bd, base)
     res_orc = impl.oracle_mul(ad, bd, base)
 
-    v = 0
-    for d in reversed(res_inc):
-        v = v * base + d
-
-    if res_inc != res_sch or res_inc != res_orc or v != expected:
+    value = int_from_digits(res_inc, base)
+    if res_inc != res_sch or res_inc != res_orc or value != expected:
         report.mismatches.append(
             Mismatch(
                 a=render_digits(ad, base),
@@ -198,13 +196,8 @@ def random_check(trials: int, max_digits: int, bases, seed: int) -> VerifyReport
         lb = 1 + rng.bounded(max_digits)
         ad = draw(base, la)
         bd = draw(base, lb)
-        va = 0
-        for d in reversed(ad):
-            va = va * base + d
-        vb = 0
-        for d in reversed(bd):
-            vb = vb * base + d
-        _check_pair(ad, bd, base, va * vb, report)
+        expected = int_from_digits(ad, base) * int_from_digits(bd, base)
+        _check_pair(ad, bd, base, expected, report)
     report.pairs_checked = trials
     return _finalize(report, started)
 

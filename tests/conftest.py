@@ -4,6 +4,8 @@
 ``EXTENSION`` into a pytest temporary directory and loads it from there, so
 the compiled cross-checks run wherever a C compiler exists, whether or not
 the extension was built in place.  Nothing is written under ``src/``.
+With gcc or clang it compiles with ``-Wall -Werror``, so a new warning in
+the C file fails the suite.
 """
 
 import importlib.util
@@ -28,6 +30,8 @@ def compiled_kernels(tmp_path_factory):
         pytest.skip(f"no C compiler: {cc!r} is not on PATH")
     ext = runpy.run_path(str(ROOT / "setup.py"), run_name="setup")["EXTENSION"]
     ext.sources = [str(ROOT / source) for source in ext.sources]
+    if any(name in Path(shlex.split(cc)[0]).name for name in ("gcc", "clang")):
+        ext.extra_compile_args = ["-Wall", "-Werror"]
     out = tmp_path_factory.mktemp("speedups")
     cmd = build_ext(Distribution({"ext_modules": [ext]}))
     cmd.build_lib = str(out / "lib")

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from carrymul import errors
+from carrymul import _kernels_py, errors, kernels
 from carrymul.algorithms import (
     INCREMENTAL,
     SCHOOLBOOK,
@@ -121,21 +123,22 @@ def test_check_invariant_rejects_schoolbook_trace():
         check_invariant(trace)
 
 
-def test_check_invariant_rejects_out_of_range_digit():
+def test_check_invariant_rejects_out_of_range_digit(request, monkeypatch):
+    """A bad step digit fails alike on both backends: a bool or float used
+    to reach the kernels, where Python returned flags and C raised."""
     trace = incremental_multiply(n("12"), n("34"))
     s0, s1 = trace.steps
-    corrupted = Trace(
-        algorithm=trace.algorithm,
-        base=trace.base,
-        a=trace.a,
-        b=trace.b,
-        steps=(s0, StepRecord(s1.k, s1.s, 99, s1.c_next)),
-        rows=(),
-        result=trace.result,
-        counters=trace.counters,
-    )
-    with pytest.raises(errors.DigitOutOfRange):
-        check_invariant(corrupted)
+    for backend in ("python", "compiled"):
+        if backend == "python":
+            impl = _kernels_py
+        else:
+            impl = request.getfixturevalue("compiled_kernels")
+        monkeypatch.setattr(kernels, "impl", impl)
+        for bad in (99, -1, True, 1.5):
+            steps = (s0, StepRecord(s1.k, s1.s, bad, s1.c_next))
+            corrupted = dataclasses.replace(trace, steps=steps)
+            with pytest.raises(errors.DigitOutOfRange):
+                check_invariant(corrupted)
 
 
 def test_multiply_dispatch():

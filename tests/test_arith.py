@@ -78,8 +78,9 @@ def test_shift():
     assert str(shift(n("8638"), 0)) == "8638"
     assert str(shift(n("7404"), 1)) == "74040"
     assert str(shift(n("0"), 5)) == "0"  # no phantom digits
-    with pytest.raises(ValueError):
-        shift(n("1"), -1)
+    for bad in (-1, True, 1.0):  # True used to shift as 1
+        with pytest.raises(ValueError):
+            shift(n("3"), bad)
 
 
 def test_add_mul_against_int_oracle():

@@ -47,6 +47,12 @@ def test_worked_example_per_backend(backend):
     assert steps[0] == ([8, 3, 6, 8], 8, [3, 6, 8])
 
 
+def assert_canonical(digits, base):
+    """The output rule of _kernels_py, which digits.wrap relies on."""
+    assert all(type(d) is int and 0 <= d < base for d in digits), digits
+    assert not digits or digits[-1] != 0, digits
+
+
 def test_backend_against_int_arithmetic(backend):
     rng = random.Random(99)
     for _ in range(250):
@@ -54,13 +60,27 @@ def test_backend_against_int_arithmetic(backend):
         a = random_vector(rng, base, 12)
         b = random_vector(rng, base, 12)
         va, vb = value(a, base), value(b, base)
-        _, res, _, _ = backend.incremental(a, b, base)
+        steps, res, _, _ = backend.incremental(a, b, base)
         assert value(res, base) == va * vb
-        _, res, _, _ = backend.schoolbook(a, b, base)
+        for s, r, carry in steps:
+            assert_canonical(s, base)
+            assert type(r) is int and 0 <= r < base
+            assert_canonical(carry, base)
+        assert_canonical(res, base)
+        rows, res, _, _ = backend.schoolbook(a, b, base)
         assert value(res, base) == va * vb
-        assert value(backend.oracle_mul(a, b, base), base) == va * vb
+        for row in rows:
+            assert_canonical(row, base)
+        assert_canonical(res, base)
+        res = backend.oracle_mul(a, b, base)
+        assert value(res, base) == va * vb
+        assert_canonical(res, base)
         res, _ = backend.add(a, b, base)
         assert value(res, base) == va + vb
+        assert_canonical(res, base)
+        res, _, _ = backend.mul_by_digit(a, b[0] if b else 0, base)
+        assert value(res, base) == va * (b[0] if b else 0)
+        assert_canonical(res, base)
 
 
 def test_backends_agree_everywhere(compiled_kernels):

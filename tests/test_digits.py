@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from carrymul import errors
@@ -12,6 +14,7 @@ from carrymul.digits import (
     parse_natural,
     render_natural,
     to_int,
+    wrap,
 )
 
 
@@ -153,3 +156,47 @@ def test_normalize_rejects_bool_and_float():
     for bad in (True, 1.0):
         with pytest.raises(errors.DigitOutOfRange):
             normalize([bad], 10)
+
+
+def test_from_int_rejects_non_int():
+    """True used to come out as 1, and 12.0 as a digit error about 2.0."""
+    for bad in (True, 12.0, 1.5, -1):
+        with pytest.raises(ValueError):
+            from_int(bad, 10)
+
+
+def test_wrap_matches_checked_natural():
+    for digits, base in [((), 10), ((8, 3, 6, 8), 10), ((15, 15), 16)]:
+        checked = Natural(digits, base)
+        wrapped = wrap(list(digits), base)
+        assert wrapped == checked
+        assert hash(wrapped) == hash(checked)
+        assert repr(wrapped) == repr(checked)
+
+
+class PlainPair:
+    """An ordinary object with Natural's two fields, as a memory yardstick."""
+
+    def __init__(self, digits, base):
+        self.digits = digits
+        self.base = base
+
+
+def test_wrap_costs_no_more_memory_than_a_plain_object():
+    """wrap must keep the instance dict key-shared: filling __dict__ by hand
+    gives instances their own dicts and more than doubles their size."""
+
+    def traced_bytes(make):
+        digits = (1, 2)  # shared, so only the instances themselves count
+        sizes = []
+        for _ in range(2):  # the first run also pays for one-off setup
+            tracemalloc.start()
+            values = [make(digits, 10) for _ in range(1000)]
+            sizes.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.stop()
+            assert len(values) == 1000
+        return min(sizes)
+
+    plain = traced_bytes(PlainPair)
+    assert traced_bytes(wrap) <= 1.1 * plain
+    assert traced_bytes(Natural) <= 1.1 * plain
