@@ -1,11 +1,11 @@
 """Pure-Python digit-vector kernels.
 
 This is the reference backend and the spec.  ``carrymul._speedups`` (one
-hand-written C file) is a compiled mirror of its six hot kernels: add,
-mul_by_digit, incremental, schoolbook, check_invariant and oracle_mul.  On
-valid input the two must stay identical, counters included (see
-tests/test_backends.py); the C kernels also reject a digit that is not an
-int in 0..base-1.  The remaining helpers live here only.
+hand-written C file) is a compiled mirror of its seven hot kernels: add,
+mul_by_digit, incremental, incremental_product, schoolbook, check_invariant
+and oracle_mul.  On valid input the two must stay identical, counters
+included (see tests/test_backends.py); the C kernels also reject a digit
+that is not an int in 0..base-1.  The remaining helpers live here only.
 
 Representation: a natural number is a sequence of int digits, little-endian
 (index i holds the coefficient of base**i), canonical (no trailing high-order
@@ -135,6 +135,33 @@ def incremental(a, b, base):
     for i in range(n):
         out[i] = rdigits[i]
     return steps, normalize(out), mults, adds
+
+
+def incremental_product(a, b, base):
+    """The product of ``incremental`` alone, holding one carry buffer.
+
+    Each step fuses mul_by_digit, add and divmod_base into one pass over
+    the len(a)-digit carry: position i of s = a*b[k] + carry is read, and
+    its digit written back one place lower, so the buffer ends the pass
+    holding floor(s / base) and s mod base is emitted.  The digit work is
+    that of ``incremental``, but no step's sum or carry is kept and no
+    counters are returned.  Every partial value a[i]*b[k] + carry[i] + c is
+    below base**2, so each c is a single digit.
+    """
+    la = len(a)
+    if not la or not b:
+        return []
+    carry = [0] * la
+    out = []
+    for d in b:
+        c, r = divmod(a[0] * d + carry[0], base)
+        for i in range(1, la):
+            c, carry[i - 1] = divmod(a[i] * d + carry[i] + c, base)
+        carry[la - 1] = c
+        out.append(r)
+    # result = carry * base**len(b) + sum(r[k] * base**k)
+    out += carry
+    return normalize(out)
 
 
 def schoolbook(a, b, base):

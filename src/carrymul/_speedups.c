@@ -1,7 +1,8 @@
 /* Compiled digit-vector kernels.
 
-   A C mirror of the six hot kernels of carrymul._kernels_py: add,
-   mul_by_digit, incremental, schoolbook, check_invariant and oracle_mul.
+   A C mirror of the seven hot kernels of carrymul._kernels_py: add,
+   mul_by_digit, incremental, incremental_product, schoolbook,
+   check_invariant and oracle_mul.
    Each takes and returns the same lists, tuples and counters as its
    pure-Python spec (see that module for the representation and the
    counting rules), so the two backends can be compared with ==.
@@ -296,6 +297,43 @@ done:
     return res;
 }
 
+/* The result of py_incremental without its steps.  Step k adds a * b[k] to
+   the window out[k..k+la], whose low la digits hold the carry left by step
+   k-1: out[k] is then the emitted digit and out[k+1..k+la] the carry that
+   step k+1 reads, so the carry moves down one place by advancing the
+   window, not by copying.  a[i] * b[k] + out[k+i] + c stays below
+   base * base, so c is always one digit. */
+static PyObject *
+py_incremental_product(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int base;
+    Py_ssize_t la, lb;
+    u8 *a = NULL, *b = NULL, *out = NULL;
+    PyObject *res = NULL;
+    if (parse("incremental_product", nargs, 3, args, &base) < 0
+        || !(a = load(args[0], base, 0, &la))
+        || !(b = load(args[1], base, 0, &lb))
+        || !(out = alloc(la + lb)))
+        goto done;
+    memset(out, 0, la);  /* the carry into step 0 */
+    for (Py_ssize_t k = 0; k < lb; k++) {
+        u8 *s = out + k;
+        int d = b[k], c = 0;
+        for (Py_ssize_t i = 0; i < la; i++) {
+            int t = a[i] * d + s[i] + c;
+            s[i] = (u8)(t % base);
+            c = t / base;
+        }
+        s[la] = (u8)c;
+    }
+    res = to_list(out, strip(out, la + lb));
+done:
+    PyMem_Free(a);
+    PyMem_Free(b);
+    PyMem_Free(out);
+    return res;
+}
+
 static PyObject *
 py_schoolbook(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -428,6 +466,7 @@ static PyMethodDef methods[] = {
     KERNEL(add, "add(a, b, base) -> (a + b, adds)"),
     KERNEL(mul_by_digit, "mul_by_digit(a, d, base) -> (a * d, mults, adds)"),
     KERNEL(incremental, "incremental(a, b, base) -> (steps, a * b, mults, adds)"),
+    KERNEL(incremental_product, "incremental_product(a, b, base) -> a * b"),
     KERNEL(schoolbook, "schoolbook(a, b, base) -> (rows, a * b, mults, adds)"),
     KERNEL(check_invariant, "check_invariant(a, b, steps, base) -> [bool]"),
     KERNEL(oracle_mul, "oracle_mul(a, b, base) -> a * b by double-and-add"),

@@ -10,7 +10,11 @@ product, so no partial-product rows are ever stored.
 The schoolbook algorithm is the classical contrast: it builds every shifted
 partial-product row first and adds them all at the end.
 
-Both record a full Trace so the work can be replayed, rendered and audited.
+``incremental_multiply`` and ``schoolbook_multiply`` record a full Trace so
+the work can be replayed, rendered and audited.  ``multiply`` returns the
+product alone: for the incremental algorithm it runs a kernel that holds one
+carry buffer and records nothing, so its memory stays linear in the operand
+lengths.
 """
 
 from __future__ import annotations
@@ -113,7 +117,15 @@ TRACED = {INCREMENTAL: incremental_multiply, SCHOOLBOOK: schoolbook_multiply}
 
 
 def multiply(a: Natural, b: Natural, algorithm: str = INCREMENTAL) -> Natural:
-    """Product of a and b via the chosen algorithm."""
+    """Product of a and b via the chosen algorithm.
+
+    The incremental product comes from a kernel that keeps only the carry,
+    no steps; schoolbook still builds its Trace, since storing every row is
+    what defines it.
+    """
     if algorithm not in TRACED:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return TRACED[algorithm](a, b).result
+    if algorithm != INCREMENTAL:
+        return TRACED[algorithm](a, b).result
+    base = require_same_base(a, b)
+    return wrap(kernels.impl.incremental_product(a.digits, b.digits, base), base)

@@ -48,6 +48,11 @@ class Natural:
     base: int
 
     def __post_init__(self):
+        # a list would build, but unhashable and unequal to the same tuple
+        if type(self.digits) is not tuple:
+            raise TypeError(
+                f"digits must be a tuple, not {type(self.digits).__name__}"
+            )
         check_digits(self.digits, check_base(self.base))
         if self.digits and self.digits[-1] == 0:
             raise ValueError("digit vector is not canonical (high-order zero)")

@@ -1,8 +1,9 @@
 """Backend selection: compiled extension when available, pure Python otherwise.
 
-``impl`` is the module the rest of the package calls into for the six hot
-kernels: ``add``, ``mul_by_digit``, ``incremental``, ``schoolbook``,
-``check_invariant`` and ``oracle_mul``.  Both backends expose them over
+``impl`` is the module the rest of the package calls into for the seven
+hot kernels: ``add``, ``mul_by_digit``, ``incremental``,
+``incremental_product``, ``schoolbook``, ``check_invariant`` and
+``oracle_mul``.  Both backends expose them over
 little-endian digit lists or tuples (see ``_kernels_py`` for the
 representation, the output rule and the counter conventions).  The small
 helpers (``normalize``, ``compare``, ``divmod_base``, ``shift``) exist only

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import tracemalloc
 
 import pytest
 
@@ -146,6 +148,39 @@ def test_multiply_dispatch():
     assert str(multiply(n("1234"), n("567"), SCHOOLBOOK)) == "699678"
     with pytest.raises(ValueError):
         multiply(n("1"), n("1"), "karatsuba")
+
+
+def traced_peak(call):
+    """tracemalloc peak of one call, in bytes above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_multiply_holds_one_carry_buffer(backend, request, monkeypatch):
+    """The paper's memory claim, as allocation counts rather than timings:
+    the result-only product stores no steps and no rows, so its peak sits
+    far below the traced run's and schoolbook's, and grows linearly (a
+    quadratic peak would grow ~16x from 256^2 to 1024^2)."""
+    if backend == "compiled":
+        monkeypatch.setattr(kernels, "impl", request.getfixturevalue("compiled_kernels"))
+    rng = random.Random(512)
+
+    def operand(n):
+        return from_int(rng.randrange(10 ** (n - 1), 10**n), 10)
+
+    a, b = operand(512), operand(512)
+    peak = traced_peak(lambda: multiply(a, b))
+    assert peak < traced_peak(lambda: incremental_multiply(a, b)) / 20
+    assert peak < traced_peak(lambda: multiply(a, b, SCHOOLBOOK))
+    small = operand(256), operand(256)
+    large = operand(1024), operand(1024)
+    assert traced_peak(lambda: multiply(*large)) < 6 * traced_peak(lambda: multiply(*small))
 
 
 def test_multiply_commutes_on_values():

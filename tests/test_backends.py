@@ -62,6 +62,9 @@ def test_backend_against_int_arithmetic(backend):
         va, vb = value(a, base), value(b, base)
         steps, res, _, _ = backend.incremental(a, b, base)
         assert value(res, base) == va * vb
+        product = backend.incremental_product(a, b, base)
+        assert product == res
+        assert_canonical(product, base)
         for s, r, carry in steps:
             assert_canonical(s, base)
             assert type(r) is int and 0 <= r < base
@@ -90,7 +93,11 @@ def test_backends_agree_everywhere(compiled_kernels):
         base = rng.randint(2, 36)
         a = random_vector(rng, base, 24)
         b = random_vector(rng, base, 24)
-        assert py.incremental(a, b, base) == cy.incremental(a, b, base)
+        traced = py.incremental(a, b, base)
+        assert traced == cy.incremental(a, b, base)
+        product = traced[1]
+        assert py.incremental_product(a, b, base) == product
+        assert cy.incremental_product(a, b, base) == product
         assert py.schoolbook(a, b, base) == cy.schoolbook(a, b, base)
         assert py.oracle_mul(a, b, base) == cy.oracle_mul(a, b, base)
         assert py.add(a, b, base) == cy.add(a, b, base)
@@ -132,6 +139,26 @@ def test_trivial_shapes(backend):
     assert backend.mul_by_digit([], 3, 10) == ([], 0, 0)
     assert backend.mul_by_digit([4, 2], 0, 10) == ([], 2, 2)
     assert backend.check_invariant([], [], [], 10) == []
+    assert backend.incremental_product([9, 9], [9], 10) == [1, 9, 8]
+    rng = random.Random(1024)
+    long = [rng.randrange(10) for _ in range(1023)] + [7]
+    shapes = [
+        ([], [], 10),
+        ([], [3, 1], 10),
+        ([4, 2], [], 10),
+        ([7], [8], 10),
+        ([0, 0, 1], [5], 10),
+        ([9] * 6, [9] * 4, 10),
+        ([1] * 9, [1] * 5, 2),
+        ([35] * 6, [35] * 7, 36),
+        (long, [9], 10),
+        ([9], long, 10),
+    ]
+    for a, b, base in shapes:
+        product = backend.incremental_product(a, b, base)
+        assert product == backend.incremental(a, b, base)[1]
+        assert value(product, base) == value(a, base) * value(b, base)
+        assert_canonical(product, base)
 
 
 def test_spec_helpers_trivial_shapes():
@@ -149,6 +176,8 @@ HOSTILE_CALLS = {
     "mul_by_digit.d": lambda c, x: c.mul_by_digit(GOOD, x, 10),
     "incremental.a": lambda c, x: c.incremental([x], GOOD, 10),
     "incremental.b": lambda c, x: c.incremental(GOOD, [x], 10),
+    "incremental_product.a": lambda c, x: c.incremental_product([x], GOOD, 10),
+    "incremental_product.b": lambda c, x: c.incremental_product(GOOD, [x], 10),
     "schoolbook.a": lambda c, x: c.schoolbook([x, 1], GOOD, 10),
     "schoolbook.b": lambda c, x: c.schoolbook(GOOD, [x], 10),
     "oracle_mul.a": lambda c, x: c.oracle_mul([x], GOOD, 10),

@@ -129,6 +129,15 @@ def test_natural_rejects_non_canonical():
         Natural((1,), 1)
 
 
+def test_natural_rejects_digits_that_are_not_a_tuple():
+    """A list used to build a Natural that was unhashable and unequal to
+    the same value parsed from text."""
+    for digits in ([1, 2], "12", range(1, 3)):
+        with pytest.raises(TypeError, match=type(digits).__name__):
+            Natural(digits, 10)
+    assert Natural((1, 2), 10) == parse_natural("21", 10)
+
+
 @pytest.mark.parametrize(
     "digits, index",
     [

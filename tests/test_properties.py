@@ -68,6 +68,12 @@ def test_all_routes_agree(x, y, base):
 
 
 @given(values, values, bases)
+def test_result_only_multiply_matches_traced_result(x, y, base):
+    a, b = from_int(x, base), from_int(y, base)
+    assert multiply(a, b) == incremental_multiply(a, b).result
+
+
+@given(values, values, bases)
 def test_multiply_commutes(x, y, base):
     a, b = from_int(x, base), from_int(y, base)
     for alg in (INCREMENTAL, SCHOOLBOOK):
