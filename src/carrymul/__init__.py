@@ -12,6 +12,8 @@ built and fall back to the pure-Python spec otherwise; see
 ``carrymul.kernels``.
 """
 
+import importlib
+
 from carrymul import errors
 from carrymul.algorithms import (
     ALGORITHMS,
@@ -25,7 +27,6 @@ from carrymul.algorithms import (
     schoolbook_multiply,
 )
 from carrymul.arith import OpCounters, add, divmod_base, mul_by_digit, shift
-from carrymul.bench import BenchReport, compare_algorithms
 from carrymul.digits import (
     EQUAL,
     GREATER,
@@ -41,19 +42,40 @@ from carrymul.digits import (
     to_int,
 )
 from carrymul.kernels import BACKEND, available_backends
-from carrymul.oracle import (
-    SplitMix64,
-    VerifyReport,
-    exhaustive_check,
-    oracle_multiply,
-    random_check,
-)
-from carrymul.trace_io import (
-    render_report_json,
-    render_report_text,
-    render_trace_json,
-    render_trace_text,
-)
+
+# Verify, bench and report rendering load on first use (PEP 562), so the
+# mul and trace paths never import or compile them: name -> submodule.
+_LAZY = {
+    "oracle": "oracle",
+    "SplitMix64": "oracle",
+    "VerifyReport": "oracle",
+    "exhaustive_check": "oracle",
+    "oracle_multiply": "oracle",
+    "random_check": "oracle",
+    "bench": "bench",
+    "BenchReport": "bench",
+    "compare_algorithms": "bench",
+    "trace_io": "trace_io",
+    "render_report_json": "trace_io",
+    "render_report_text": "trace_io",
+    "render_trace_json": "trace_io",
+    "render_trace_text": "trace_io",
+}
+
+
+def __getattr__(name):
+    submodule = _LAZY.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{submodule}")
+    value = module if name == submodule else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

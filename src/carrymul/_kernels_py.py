@@ -4,8 +4,16 @@ This is the reference backend and the spec.  ``carrymul._speedups`` (one
 hand-written C file) is a compiled mirror of its seven hot kernels: add,
 mul_by_digit, incremental, incremental_product, schoolbook, check_invariant
 and oracle_mul.  On valid input the two must stay identical, counters
-included (see tests/test_backends.py); the C kernels also reject a digit
-that is not an int in 0..base-1.  The remaining helpers live here only.
+included (see tests/test_backends.py).  The remaining helpers live here
+only.
+
+The kernels are internal and unchecked: they trust their caller to pass
+canonical digits in 0..base-1, and on anything else their output is
+undefined (``incremental([300], [3], 10)`` returns ``[0, 90]`` here, while
+the C kernels raise).  The checks live at the public entry points
+(``Natural``, ``digits.normalize``, ``from_int``, ``arith.mul_by_digit``,
+``algorithms.check_invariant``), which reject bad digits alike on both
+backends, so the verify hot path pays for no check.
 
 Representation: a natural number is a sequence of int digits, little-endian
 (index i holds the coefficient of base**i), canonical (no trailing high-order
@@ -27,7 +35,7 @@ Counter conventions (fixed, so operation counts are deterministic):
 """
 
 
-def normalize(digits):
+def strip_high_zeros(digits):
     """Strip high-order zeros; zero becomes the empty list."""
     n = len(digits)
     while n and digits[n - 1] == 0:
@@ -87,7 +95,7 @@ def mul_by_digit(a, d, base):
     if carry:
         out.append(carry)
     # only d == 0 can leave high zeros
-    return normalize(out) if d == 0 else out, la, la
+    return strip_high_zeros(out) if d == 0 else out, la, la
 
 
 def divmod_base(n):
@@ -134,7 +142,7 @@ def incremental(a, b, base):
     out = [0] * n + carry
     for i in range(n):
         out[i] = rdigits[i]
-    return steps, normalize(out), mults, adds
+    return steps, strip_high_zeros(out), mults, adds
 
 
 def incremental_product(a, b, base):
@@ -161,7 +169,7 @@ def incremental_product(a, b, base):
         out.append(r)
     # result = carry * base**len(b) + sum(r[k] * base**k)
     out += carry
-    return normalize(out)
+    return strip_high_zeros(out)
 
 
 def schoolbook(a, b, base):
@@ -209,7 +217,7 @@ def check_invariant(a, b, steps, base):
         p, _, _ = mul_by_digit(a, b[k], base)
         rhs, _ = add(rhs, shift(p, k), base)
         rpref.append(r)
-        lhs = normalize(rpref + list(carry))
+        lhs = strip_high_zeros(rpref + list(carry))
         flags.append(compare(lhs, rhs) == 0)
     return flags
 
@@ -222,7 +230,7 @@ def _halve(n, base):
         cur = r * base + n[i]
         q[i] = cur >> 1
         r = cur & 1
-    return normalize(q), r
+    return strip_high_zeros(q), r
 
 
 def oracle_mul(a, b, base):

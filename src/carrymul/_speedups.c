@@ -55,7 +55,7 @@ add_into(const u8 *x, Py_ssize_t lx, const u8 *y, Py_ssize_t ly,
 }
 
 /* out = x * d; out needs room for lx + 1 digits.  A zero digit gives the
-   empty vector, like the normalize call in _kernels_py.mul_by_digit. */
+   empty vector, like the strip_high_zeros call in _kernels_py.mul_by_digit. */
 static Py_ssize_t
 mul_into(const u8 *x, Py_ssize_t lx, int d, u8 *out, int base)
 {

@@ -2,7 +2,8 @@
 
 Subcommands: mul, trace, verify, bench.  stdout carries only the requested
 payload; diagnostics go to stderr.  Exit codes: 0 success, 1 usage or parse
-error, 2 verification found a mismatch.
+error, 2 verification found a mismatch.  The oracle and bench layers are
+imported by their own subcommands only, so mul and trace never load them.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from carrymul import algorithms, bench, oracle, trace_io
+from carrymul import algorithms, trace_io
 from carrymul.digits import parse_natural
 from carrymul.errors import Error
 
@@ -98,6 +99,8 @@ def run(argv) -> int:
             return EXIT_OK
 
         if args.subcommand == "verify":
+            from carrymul import oracle
+
             if args.random == (args.limit is not None):
                 print(
                     "carrymul: verify needs exactly one of --limit or --random",
@@ -124,6 +127,8 @@ def run(argv) -> int:
             return EXIT_OK if report.ok() else EXIT_MISMATCH
 
         if args.subcommand == "bench":
+            from carrymul import bench
+
             a, b = _operands(args)
             report = bench.compare_algorithms(a, b, args.reps)
             if args.format == "json":

@@ -28,6 +28,8 @@ MAX_BASE = 36
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 _GLYPH_VALUE = {c: v for v, c in enumerate(ALPHABET)}
 _GLYPH_VALUE.update({c.upper(): v for v, c in enumerate(ALPHABET) if c.isalpha()})
+# byte v -> its glyph; bytes 36..255 map to 0xFF, which no ASCII decode accepts
+_RENDER = ALPHABET.encode("ascii") + b"\xff" * (256 - len(ALPHABET))
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -108,7 +110,7 @@ def parse_natural(text: str, base: int) -> Natural:
             raise InvalidDigitGlyph(pos, ch, base)
         values.append(v)
     values.reverse()
-    return wrap(_kernels_py.normalize(values), base)
+    return wrap(_kernels_py.strip_high_zeros(values), base)
 
 
 def render_natural(n: Natural) -> str:
@@ -117,17 +119,21 @@ def render_natural(n: Natural) -> str:
 
 
 def render_digits(digits, base) -> str:
-    """Render a raw little-endian digit list without building a Natural."""
+    """Render a raw little-endian digit list without building a Natural.
+
+    One pass: bytes() rejects a non-integer (TypeError) or a value outside
+    0..255 (ValueError), and a value the alphabet lacks fails the ASCII
+    decode (UnicodeDecodeError, a ValueError) instead of becoming a glyph."""
     if not digits:
         return "0"
-    return "".join(ALPHABET[d] for d in reversed(digits))
+    return bytes(digits[::-1]).translate(_RENDER).decode("ascii")
 
 
 def normalize(raw, base) -> Natural:
     """Build a canonical Natural from carry-free digit values."""
     values = list(raw)
     check_digits(values, check_base(base))
-    return wrap(_kernels_py.normalize(values), base)
+    return wrap(_kernels_py.strip_high_zeros(values), base)
 
 
 def compare(a: Natural, b: Natural) -> int:

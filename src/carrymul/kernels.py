@@ -6,8 +6,12 @@ hot kernels: ``add``, ``mul_by_digit``, ``incremental``,
 ``oracle_mul``.  Both backends expose them over
 little-endian digit lists or tuples (see ``_kernels_py`` for the
 representation, the output rule and the counter conventions).  The small
-helpers (``normalize``, ``compare``, ``divmod_base``, ``shift``) exist only
-in ``_kernels_py`` and are called from there directly.
+helpers (``strip_high_zeros``, ``compare``, ``divmod_base``, ``shift``)
+exist only in ``_kernels_py`` and are called from there directly.
+
+The kernels are internal and unchecked: only digits that a public entry
+point has already validated may reach them, and the two backends need not
+agree on anything else.
 """
 
 from carrymul import _kernels_py

@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 
 from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK, Trace
-from carrymul.bench import BenchReport
 from carrymul.digits import ALPHABET
-from carrymul.oracle import VerifyReport
+
+# VerifyReport (carrymul.oracle) and BenchReport (carrymul.bench) appear in
+# annotations only, which are never evaluated, so rendering a trace loads
+# neither the verify nor the bench layer.
 
 SCHEMA_VERSION = "1"
 

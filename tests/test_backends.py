@@ -4,14 +4,15 @@ Python reference exactly, counters and step records included.
 The compiled module comes from the ``compiled_kernels`` fixture, which builds
 the C source, so these checks run wherever a C compiler exists."""
 
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
-from carrymul import _kernels_py, kernels
-from carrymul.algorithms import incremental_multiply
-from carrymul.digits import parse_natural
+from carrymul import _kernels_py, arith, errors, kernels
+from carrymul.algorithms import check_invariant, incremental_multiply
+from carrymul.digits import Natural, from_int, normalize, parse_natural, to_int
 from carrymul.oracle import all_bases, exhaustive_check, random_check
 from carrymul.trace_io import render_trace_json, render_trace_text
 
@@ -164,7 +165,7 @@ def test_trivial_shapes(backend):
 def test_spec_helpers_trivial_shapes():
     assert py.divmod_base([]) == ([], 0)
     assert py.shift([], 4) == []
-    assert py.normalize([0, 0]) == []
+    assert py.strip_high_zeros([0, 0]) == []
 
 
 GOOD = [4, 3]
@@ -212,6 +213,55 @@ def test_compiled_kernels_reject_hostile_digits(compiled_kernels, call, digit, e
     to a byte (a cast turned incremental([300], [3], 10) into [2, 13])."""
     with pytest.raises(error):
         call(compiled_kernels, digit)
+
+
+def with_step_digit(trace, r):
+    steps = (dataclasses.replace(trace.steps[0], r=r),) + trace.steps[1:]
+    return dataclasses.replace(trace, steps=steps)
+
+
+FORTY_THREE = parse_natural("43", 10)
+PUBLIC_ENTRY_POINTS = {
+    "Natural": lambda x: Natural((x,), 10),
+    "normalize": lambda x: normalize([x, 1], 10),
+    "from_int": lambda x: from_int(x, 10),
+    "arith.mul_by_digit": lambda x: arith.mul_by_digit(FORTY_THREE, x),
+    "check_invariant.r": lambda x: check_invariant(
+        with_step_digit(incremental_multiply(FORTY_THREE, FORTY_THREE), x)
+    ),
+}
+
+
+def outcome(call, x):
+    try:
+        return "returns", call(x)
+    except Exception as exc:
+        return "raises", type(exc)
+
+
+@pytest.mark.parametrize(
+    "digit", [d for d, _ in HOSTILE_DIGITS], ids=[repr(d) for d, _ in HOSTILE_DIGITS]
+)
+@pytest.mark.parametrize(
+    "call", PUBLIC_ENTRY_POINTS.values(), ids=PUBLIC_ENTRY_POINTS.keys()
+)
+def test_public_entry_points_reject_hostile_digits_alike(
+    compiled_kernels, monkeypatch, call, digit
+):
+    """The kernels are internal and unchecked, so the public entry points
+    must reject bad digits before any kernel runs, with one typed
+    exception whichever backend is selected."""
+    monkeypatch.setattr(kernels, "impl", py)
+    on_python = outcome(call, digit)
+    monkeypatch.setattr(kernels, "impl", compiled_kernels)
+    assert outcome(call, digit) == on_python
+    kind, result = on_python
+    if call is PUBLIC_ENTRY_POINTS["from_int"] and type(digit) is int and digit >= 0:
+        # a whole value, not a digit: 300 and 2**70 are naturals
+        assert kind == "returns" and to_int(result) == digit
+        return
+    assert kind == "raises"
+    assert issubclass(result, (errors.Error, ValueError))
 
 
 @pytest.mark.parametrize("base", [0, 1, 37, 256])

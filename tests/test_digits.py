@@ -1,9 +1,11 @@
+import random
 import tracemalloc
 
 import pytest
 
 from carrymul import errors
 from carrymul.digits import (
+    ALPHABET,
     EQUAL,
     GREATER,
     LESS,
@@ -12,6 +14,7 @@ from carrymul.digits import (
     from_int,
     normalize,
     parse_natural,
+    render_digits,
     render_natural,
     to_int,
     wrap,
@@ -71,6 +74,29 @@ def test_render_hex_lowercase():
 def test_round_trip():
     for text, base in [("1234", 10), ("ff", 16), ("101101", 2), ("zz", 36)]:
         assert render_natural(parse_natural(text, base)) == text
+
+
+def test_render_digits_matches_per_glyph_join():
+    rng = random.Random(36)
+    for base in range(2, 37):
+        assert render_digits([], base) == "0"
+        for _ in range(20):
+            digits = [rng.randrange(base) for _ in range(rng.randint(1, 40))]
+            expected = "".join(ALPHABET[d] for d in reversed(digits))
+            assert render_digits(digits, base) == expected
+            assert render_digits(tuple(digits), base) == expected
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(36, ValueError), (-1, ValueError), (300, ValueError), (1.5, TypeError)],
+    ids=repr,
+)
+def test_render_digits_rejects_values_outside_the_alphabet(bad, error):
+    """Nothing outside 0..35 renders: -1 used to come out as "z"."""
+    for digits in ([bad], [1, bad, 2]):
+        with pytest.raises(error):
+            render_digits(digits, 36)
 
 
 def test_normalize_strips_high_zeros():

@@ -1,0 +1,70 @@
+"""The package surface: every public name resolves, and the trace path
+loads neither the verify nor the bench layer."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import carrymul
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# modules only verify or bench need; a trace must not import them
+VERIFY_AND_BENCH = ("carrymul.oracle", "carrymul.bench", "statistics", "fractions")
+
+CHILD = f"""
+import contextlib, io, json, sys
+import carrymul.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = carrymul.cli.run(["trace", "12", "34", "--format", "json"])
+loaded = [m for m in {VERIFY_AND_BENCH!r} if m in sys.modules]
+submodules = [
+    type(getattr(carrymul, m)).__name__ for m in ("oracle", "bench", "trace_io")
+]
+print(json.dumps({{"code": code, "loaded": loaded, "submodules": submodules}}))
+"""
+
+
+def test_trace_loads_neither_verify_nor_bench():
+    """Asserts module names, not time: a fresh interpreter that runs one
+    trace must not have imported the oracle, bench or their stdlib needs."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert result["loaded"] == []
+    # the lazily loaded submodules are still attributes of the package
+    assert result["submodules"] == ["module"] * 3
+
+
+def test_every_public_name_resolves():
+    for name in carrymul.__all__:
+        assert getattr(carrymul, name) is not None, name
+    namespace = {}
+    exec("from carrymul import *", namespace)
+    assert set(carrymul.__all__) <= namespace.keys()
+    assert carrymul.random_check is carrymul.oracle.random_check
+    assert carrymul.BenchReport is carrymul.bench.BenchReport
+    assert carrymul.render_trace_json is carrymul.trace_io.render_trace_json
+
+
+def test_dir_lists_every_public_name():
+    assert set(carrymul.__all__) <= set(dir(carrymul))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        carrymul.no_such_name
