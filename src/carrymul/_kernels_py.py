@@ -1,11 +1,11 @@
 """Pure-Python digit-vector kernels.
 
 This is the reference backend and the spec.  ``carrymul._speedups`` (one
-hand-written C file) is a compiled mirror of its seven hot kernels: add,
-mul_by_digit, incremental, incremental_product, schoolbook, check_invariant
-and oracle_mul.  On valid input the two must stay identical, counters
-included (see tests/test_backends.py).  The remaining helpers live here
-only.
+hand-written C file) is a compiled mirror of the five kernels that multiply
+and verify run: incremental, incremental_product, schoolbook,
+check_invariant and oracle_mul.  On valid input the two must stay
+identical, counters included (see tests/test_backends.py).  The remaining
+helpers, add and mul_by_digit among them, live here only.
 
 The kernels are internal and unchecked: they trust their caller to pass
 canonical digits in 0..base-1, and on anything else their output is
@@ -203,22 +203,29 @@ def check_invariant(a, b, steps, base):
         sum(r[i] * base**i for i <= k) + base**(k+1) * carry_out(k)
             == sum((a * b[j]) * base**j for j <= k)
 
-    The right side is recomputed from a and b alone; only the emitted digit
-    and carry of each step are read back from the steps (they are what is
-    being checked).  Everything is exact digit-vector arithmetic.
+    The right side is recomputed from a and b alone, in one buffer: step k
+    adds a * b[k] in place at offset k, so digit k is final from then on.
+    Only the emitted digit and carry of each step are read back from the
+    steps (they are what is being checked).  So step k holds iff every
+    r[i] (i <= k) equals digit i, latched, and the carry equals the digits
+    above k by value (high zeros ignored): O(len(a)) work per step.
     """
+    la, lb = len(a), len(b)
+    rhs = [0] * (la + lb)
+    low_ok = True
     flags = []
-    rhs = []
-    rpref = []
     for k, (_, r, carry) in enumerate(steps):
-        if k >= len(b):
+        if k >= lb:
             flags.append(False)
             continue
-        p, _, _ = mul_by_digit(a, b[k], base)
-        rhs, _ = add(rhs, shift(p, k), base)
-        rpref.append(r)
-        lhs = strip_high_zeros(rpref + list(carry))
-        flags.append(compare(lhs, rhs) == 0)
+        d = b[k]
+        c = 0
+        for j, x in enumerate(a, k):
+            c, rhs[j] = divmod(x * d + rhs[j] + c, base)
+        rhs[k + la] = c
+        low_ok = low_ok and r == rhs[k]
+        high = strip_high_zeros(rhs[k + 1 : k + la + 1])
+        flags.append(low_ok and strip_high_zeros(list(carry)) == high)
     return flags
 
 

@@ -1,7 +1,7 @@
 /* Compiled digit-vector kernels.
 
-   A C mirror of the seven hot kernels of carrymul._kernels_py: add,
-   mul_by_digit, incremental, incremental_product, schoolbook,
+   A C mirror of the five kernels of carrymul._kernels_py that multiply
+   and verify run: incremental, incremental_product, schoolbook,
    check_invariant and oracle_mul.
    Each takes and returns the same lists, tuples and counters as its
    pure-Python spec (see that module for the representation and the
@@ -70,6 +70,21 @@ mul_into(const u8 *x, Py_ssize_t lx, int d, u8 *out, int base)
     if (carry)
         out[lx++] = (u8)carry;
     return lx;
+}
+
+/* s[0..lx] += x * d, where s[lx] is still zero: one fused pass of the
+   paper's step.  x[i] * d + s[i] + c stays below base * base, so the carry
+   c is always one digit. */
+static void
+mul_add_into(const u8 *x, Py_ssize_t lx, int d, u8 *s, int base)
+{
+    int c = 0;
+    for (Py_ssize_t i = 0; i < lx; i++) {
+        int t = x[i] * d + s[i] + c;
+        s[i] = (u8)(t % base);
+        c = t / base;
+    }
+    s[lx] = (u8)c;
 }
 
 /* row = x * d * base**j, the shifted partial product; row needs room for
@@ -215,45 +230,6 @@ parse(const char *name, Py_ssize_t nargs, Py_ssize_t want,
 
 /* -- the kernels ---------------------------------------------------------- */
 
-static PyObject *
-py_add(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    int base;
-    Py_ssize_t la, lb, adds = 0;
-    u8 *a = NULL, *b = NULL;
-    PyObject *res = NULL;
-    if (parse("add", nargs, 3, args, &base) < 0
-        || !(a = load(args[0], base, 1, &la))
-        || !(b = load(args[1], base, 1, &lb)))
-        goto done;
-    u8 *out = la >= lb ? a : b;
-    Py_ssize_t lout = add_into(a, la, b, lb, out, base, &adds);
-    res = pack(2, (PyObject *[]){to_list(out, lout), SIZE(adds)});
-done:
-    PyMem_Free(a);
-    PyMem_Free(b);
-    return res;
-}
-
-static PyObject *
-py_mul_by_digit(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    int base;
-    u8 d;
-    Py_ssize_t la;
-    u8 *a = NULL;
-    PyObject *res = NULL;
-    if (parse("mul_by_digit", nargs, 3, args, &base) < 0
-        || read_digit(args[1], base, &d) < 0
-        || !(a = load(args[0], base, 1, &la)))
-        goto done;
-    Py_ssize_t lout = mul_into(a, la, d, a, base);
-    res = pack(3, (PyObject *[]){to_list(a, lout), SIZE(la), SIZE(la)});
-done:
-    PyMem_Free(a);
-    return res;
-}
-
 /* Step k writes its sum s over out[k:], where out[k] is the emitted digit
    and out[k+1:] the carry that step k+1 adds to a * b[k+1].  So out ends
    up holding the emitted digits followed by the final carry: the product. */
@@ -301,8 +277,7 @@ done:
    the window out[k..k+la], whose low la digits hold the carry left by step
    k-1: out[k] is then the emitted digit and out[k+1..k+la] the carry that
    step k+1 reads, so the carry moves down one place by advancing the
-   window, not by copying.  a[i] * b[k] + out[k+i] + c stays below
-   base * base, so c is always one digit. */
+   window, not by copying. */
 static PyObject *
 py_incremental_product(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -316,16 +291,8 @@ py_incremental_product(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         || !(out = alloc(la + lb)))
         goto done;
     memset(out, 0, la);  /* the carry into step 0 */
-    for (Py_ssize_t k = 0; k < lb; k++) {
-        u8 *s = out + k;
-        int d = b[k], c = 0;
-        for (Py_ssize_t i = 0; i < la; i++) {
-            int t = a[i] * d + s[i] + c;
-            s[i] = (u8)(t % base);
-            c = t / base;
-        }
-        s[la] = (u8)c;
-    }
+    for (Py_ssize_t k = 0; k < lb; k++)
+        mul_add_into(a, la, b[k], out + k, base);
     res = to_list(out, strip(out, la + lb));
 done:
     PyMem_Free(a);
@@ -369,26 +336,28 @@ done:
 }
 
 /* steps holds (s, r, carry) tuples whose carry is a list or tuple, as the
-   incremental kernels make them.  lhs keeps the emitted digits r_0..r_k in
-   lhs[0..k]; step k's carry is read in above them, and step k+1's digit
-   then overwrites its lowest place.  rhs accumulates a * b[j] * base**j
-   from a and b alone. */
+   incremental kernels make them.  rhs accumulates a * b[j] * base**j from a
+   and b alone: step k adds a * b[k] at offset k, after which rhs[k] is
+   final.  So step k holds iff r_0..r_k equal rhs[0..k] (latched in low_ok)
+   and the carry equals rhs[k+1..k+la] by value.  Every r and carry digit
+   of steps below len(b) is read, mismatch or not, so a bad digit always
+   raises. */
 static PyObject *
 py_check_invariant(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int base;
-    Py_ssize_t la, lb, n, cap, lrhs = 0, unused = 0;
-    u8 *a = NULL, *b = NULL, *row = NULL, *rhs = NULL, *lhs = NULL;
+    int base, low_ok = 1;
+    Py_ssize_t la, lb, n;
+    u8 *a = NULL, *b = NULL, *rhs = NULL;
     PyObject *steps = NULL, *flags = NULL, *res = NULL;
     if (parse("check_invariant", nargs, 4, args, &base) < 0
         || !(a = load(args[0], base, 0, &la))
         || !(b = load(args[1], base, 0, &lb))
-        || !(steps = PySequence_Fast(args[2], "steps must be a list")))
+        || !(steps = PySequence_Fast(args[2], "steps must be a list"))
+        || !(rhs = alloc(la + lb)))
         goto done;
+    memset(rhs, 0, la + lb);
     n = PySequence_Fast_GET_SIZE(steps);
-    cap = n + la + 2;
-    if (!(row = alloc(la + lb + 1)) || !(rhs = alloc(la + lb + 2))
-        || !(lhs = alloc(cap)) || !(flags = PyList_New(n)))
+    if (!(flags = PyList_New(n)))
         goto done;
     for (Py_ssize_t k = 0; k < n; k++) {
         PyObject *step = PySequence_Fast_GET_ITEM(steps, k), *carry;
@@ -400,21 +369,23 @@ py_check_invariant(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
         int ok = 0;
         if (k < lb) {  /* later steps have no multiplier digit: False */
-            Py_ssize_t llhs = k + 1 + PySequence_Fast_GET_SIZE(carry);
-            if (llhs > cap) {
-                u8 *grown = PyMem_Realloc(lhs, llhs);
-                if (grown == NULL) {
-                    PyErr_NoMemory();
-                    goto done;
-                }
-                lhs = grown, cap = llhs;
-            }
-            if (read_digit(PyTuple_GET_ITEM(step, 1), base, &lhs[k]) < 0
-                || read_items(carry, base, lhs + k + 1) < 0)
+            u8 r, *high = rhs + k + 1;
+            if (read_digit(PyTuple_GET_ITEM(step, 1), base, &r) < 0)
                 goto done;
-            Py_ssize_t lrow = shifted_row(a, la, b[k], k, row, base);
-            lrhs = add_into(rhs, lrhs, row, lrow, rhs, base, &unused);
-            ok = strip(lhs, llhs) == lrhs && memcmp(lhs, rhs, lrhs) == 0;
+            mul_add_into(a, la, b[k], rhs + k, base);
+            low_ok &= r == rhs[k];
+            ok = low_ok;
+            /* compare by value: digits past either end count as zeros */
+            Py_ssize_t lc = PySequence_Fast_GET_SIZE(carry), i;
+            PyObject **items = PySequence_Fast_ITEMS(carry);
+            for (i = 0; i < lc; i++) {
+                u8 digit;
+                if (read_digit(items[i], base, &digit) < 0)
+                    goto done;
+                ok &= digit == (i < la ? high[i] : 0);
+            }
+            for (; i < la; i++)
+                ok &= high[i] == 0;
         }
         PyList_SET_ITEM(flags, k, PyBool_FromLong(ok));
     }
@@ -424,9 +395,7 @@ done:
     Py_XDECREF(flags);
     PyMem_Free(a);
     PyMem_Free(b);
-    PyMem_Free(row);
     PyMem_Free(rhs);
-    PyMem_Free(lhs);
     return res;
 }
 
@@ -463,8 +432,6 @@ done:
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
-    KERNEL(add, "add(a, b, base) -> (a + b, adds)"),
-    KERNEL(mul_by_digit, "mul_by_digit(a, d, base) -> (a * d, mults, adds)"),
     KERNEL(incremental, "incremental(a, b, base) -> (steps, a * b, mults, adds)"),
     KERNEL(incremental_product, "incremental_product(a, b, base) -> a * b"),
     KERNEL(schoolbook, "schoolbook(a, b, base) -> (rows, a * b, mults, adds)"),

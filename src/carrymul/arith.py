@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from carrymul import _kernels_py, kernels
+from carrymul import _kernels_py
 from carrymul.digits import Natural, require_same_base, wrap
 
 
@@ -33,7 +33,7 @@ class OpCounters:
 
 def add(a: Natural, b: Natural, counters: OpCounters | None = None) -> Natural:
     base = require_same_base(a, b)
-    digits, adds = kernels.impl.add(a.digits, b.digits, base)
+    digits, adds = _kernels_py.add(a.digits, b.digits, base)
     if counters is not None:
         counters.digit_adds += adds
     return wrap(digits, base)
@@ -43,7 +43,7 @@ def mul_by_digit(a: Natural, d: int, counters: OpCounters | None = None) -> Natu
     """Multiply a multi-digit value by one digit of the same base."""
     if type(d) is not int or not 0 <= d < a.base:
         raise ValueError(f"{d!r} is not a base-{a.base} digit")
-    digits, mults, adds = kernels.impl.mul_by_digit(a.digits, d, a.base)
+    digits, mults, adds = _kernels_py.mul_by_digit(a.digits, d, a.base)
     if counters is not None:
         counters.digit_mults += mults
         counters.digit_adds += adds

@@ -28,8 +28,12 @@ MAX_BASE = 36
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 _GLYPH_VALUE = {c: v for v, c in enumerate(ALPHABET)}
 _GLYPH_VALUE.update({c.upper(): v for v, c in enumerate(ALPHABET) if c.isalpha()})
-# byte v -> its glyph; bytes 36..255 map to 0xFF, which no ASCII decode accepts
-_RENDER = ALPHABET.encode("ascii") + b"\xff" * (256 - len(ALPHABET))
+# base -> translate table: byte v < base -> its glyph; bytes base..255 map
+# to 0xFF, which no ASCII decode accepts
+_RENDER = {
+    base: ALPHABET[:base].encode("ascii") + b"\xff" * (256 - base)
+    for base in range(MIN_BASE, MAX_BASE + 1)
+}
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -122,11 +126,12 @@ def render_digits(digits, base) -> str:
     """Render a raw little-endian digit list without building a Natural.
 
     One pass: bytes() rejects a non-integer (TypeError) or a value outside
-    0..255 (ValueError), and a value the alphabet lacks fails the ASCII
-    decode (UnicodeDecodeError, a ValueError) instead of becoming a glyph."""
+    0..255 (ValueError), and a value that is not a base-``base`` digit fails
+    the ASCII decode (UnicodeDecodeError, a ValueError) instead of becoming
+    a glyph."""
     if not digits:
         return "0"
-    return bytes(digits[::-1]).translate(_RENDER).decode("ascii")
+    return bytes(digits[::-1]).translate(_RENDER[base]).decode("ascii")
 
 
 def normalize(raw, base) -> Natural:

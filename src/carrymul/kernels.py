@@ -1,13 +1,13 @@
 """Backend selection: compiled extension when available, pure Python otherwise.
 
-``impl`` is the module the rest of the package calls into for the seven
-hot kernels: ``add``, ``mul_by_digit``, ``incremental``,
+``impl`` is the module the rest of the package calls into for the five
+kernels that ``multiply`` and ``verify`` run: ``incremental``,
 ``incremental_product``, ``schoolbook``, ``check_invariant`` and
-``oracle_mul``.  Both backends expose them over
-little-endian digit lists or tuples (see ``_kernels_py`` for the
-representation, the output rule and the counter conventions).  The small
-helpers (``strip_high_zeros``, ``compare``, ``divmod_base``, ``shift``)
-exist only in ``_kernels_py`` and are called from there directly.
+``oracle_mul``.  Both backends expose them over little-endian digit lists
+or tuples (see ``_kernels_py`` for the representation, the output rule and
+the counter conventions).  The other helpers (``add``, ``mul_by_digit``,
+``strip_high_zeros``, ``compare``, ``divmod_base``, ``shift``) exist only
+in ``_kernels_py`` and are called from there directly.
 
 The kernels are internal and unchecked: only digits that a public entry
 point has already validated may reach them, and the two backends need not

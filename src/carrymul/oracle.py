@@ -97,9 +97,14 @@ def oracle_multiply(a: Natural, b: Natural) -> Natural:
 
 
 def _check_pair(ad, bd, base, expected, report):
-    """Run all four routes over one raw digit pair and record disagreements."""
+    """Run all four routes over one raw digit pair and record disagreements.
+
+    The incremental steps are checked and dropped before schoolbook builds
+    its rows, so one algorithm's intermediates are alive at a time."""
     impl = kernels.impl
     steps, res_inc, _, _ = impl.incremental(ad, bd, base)
+    flags = impl.check_invariant(ad, bd, steps, base)
+    del steps
     _, res_sch, _, _ = impl.schoolbook(ad, bd, base)
     res_orc = impl.oracle_mul(ad, bd, base)
 
@@ -117,7 +122,6 @@ def _check_pair(ad, bd, base, expected, report):
             )
         )
 
-    flags = impl.check_invariant(ad, bd, steps, base)
     for k, okay in enumerate(flags):
         if not okay:
             report.invariant_failures.append(

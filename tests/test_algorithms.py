@@ -16,6 +16,7 @@ from carrymul.algorithms import (
     schoolbook_multiply,
 )
 from carrymul.digits import from_int, parse_natural, to_int
+from carrymul.oracle import VerifyReport, _check_pair
 
 
 def n(text, base=10):
@@ -181,6 +182,28 @@ def test_multiply_holds_one_carry_buffer(backend, request, monkeypatch):
     small = operand(256), operand(256)
     large = operand(1024), operand(1024)
     assert traced_peak(lambda: multiply(*large)) < 6 * traced_peak(lambda: multiply(*small))
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_verify_pair_holds_one_algorithm_at_a_time(backend, request, monkeypatch):
+    """A verify pair drops the incremental steps before schoolbook builds
+    its rows, so it peaks near the larger of the two kernels alone, not at
+    their sum."""
+    impl = _kernels_py
+    if backend == "compiled":
+        impl = request.getfixturevalue("compiled_kernels")
+    monkeypatch.setattr(kernels, "impl", impl)
+    rng = random.Random(128)
+    x, y = (rng.randrange(10**127, 10**128) for _ in range(2))
+    a, b = from_int(x, 10).digits, from_int(y, 10).digits
+    report = VerifyReport(mode="random", params={})
+    pair = traced_peak(lambda: _check_pair(a, b, 10, x * y, report))
+    assert report.ok()
+    kernel = max(
+        traced_peak(lambda: impl.incremental(a, b, 10)),
+        traced_peak(lambda: impl.schoolbook(a, b, 10)),
+    )
+    assert pair <= 1.2 * kernel
 
 
 def test_multiply_commutes_on_values():

@@ -9,6 +9,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carrymul import _kernels_py, arith, errors, kernels
 from carrymul.algorithms import check_invariant, incremental_multiply
@@ -27,11 +29,14 @@ def backend(request):
     return request.getfixturevalue("compiled_kernels")
 
 
+def exact_vector(rng, base, length):
+    """A canonical vector of exactly length digits."""
+    return [rng.randrange(base) for _ in range(length - 1)] + [rng.randrange(1, base)]
+
+
 def random_vector(rng, base, max_len):
     length = rng.randint(0, max_len)
-    if length == 0:
-        return []
-    return [rng.randrange(base) for _ in range(length - 1)] + [rng.randrange(1, base)]
+    return exact_vector(rng, base, length) if length else []
 
 
 def value(digits, base):
@@ -79,10 +84,20 @@ def test_backend_against_int_arithmetic(backend):
         res = backend.oracle_mul(a, b, base)
         assert value(res, base) == va * vb
         assert_canonical(res, base)
-        res, _ = backend.add(a, b, base)
+
+
+def test_spec_add_and_mul_by_digit_against_int_arithmetic():
+    """add and mul_by_digit have no compiled mirror: arith calls the spec."""
+    rng = random.Random(99)
+    for _ in range(250):
+        base = rng.randint(2, 36)
+        a = random_vector(rng, base, 12)
+        b = random_vector(rng, base, 12)
+        va, vb = value(a, base), value(b, base)
+        res, _ = py.add(a, b, base)
         assert value(res, base) == va + vb
         assert_canonical(res, base)
-        res, _, _ = backend.mul_by_digit(a, b[0] if b else 0, base)
+        res, _, _ = py.mul_by_digit(a, b[0] if b else 0, base)
         assert value(res, base) == va * (b[0] if b else 0)
         assert_canonical(res, base)
 
@@ -101,10 +116,6 @@ def test_backends_agree_everywhere(compiled_kernels):
         assert cy.incremental_product(a, b, base) == product
         assert py.schoolbook(a, b, base) == cy.schoolbook(a, b, base)
         assert py.oracle_mul(a, b, base) == cy.oracle_mul(a, b, base)
-        assert py.add(a, b, base) == cy.add(a, b, base)
-        if a:
-            d = rng.randrange(base)
-            assert py.mul_by_digit(a, d, base) == cy.mul_by_digit(a, d, base)
         steps, _, _, _ = py.incremental(a, b, base)
         assert py.check_invariant(a, b, steps, base) == cy.check_invariant(
             a, b, steps, base
@@ -129,6 +140,78 @@ def test_backends_agree_on_corrupted_steps(compiled_kernels):
     assert cy.check_invariant([4, 3, 2, 1], [7, 6, 5], steps, 10) == expected
 
 
+@pytest.mark.parametrize("base", [2, 10, 36])
+@pytest.mark.parametrize("la, lb", [(1, 9), (9, 1), (9, 9)], ids=["1xn", "nx1", "nxn"])
+def test_check_invariant_mutation_sweep(backend, base, la, lb):
+    """Corrupt every step digit and every carry of seeded traces in turn.
+    A bad r_k breaks the prefix, so steps k..end fail; a bad carry out of
+    step k is read by step k alone, because the right side is rebuilt from
+    a and b; a high zero on a carry leaves its value, so nothing fails."""
+    rng = random.Random(base * 100 + la * 10 + lb)
+    for _ in range(4):
+        a, b = exact_vector(rng, base, la), exact_vector(rng, base, lb)
+        steps = py.incremental(a, b, base)[0]
+        n = len(steps)
+
+        def flags(steps):
+            return backend.check_invariant(a, b, steps, base)
+
+        assert flags(steps) == [True] * n
+        for k, (s, r, carry) in enumerate(steps):
+            bad = list(steps)
+            bad[k] = (s, (r + 1) % base, carry)
+            assert flags(bad) == [i < k for i in range(n)]
+            wrongs = []
+            for j, d in enumerate(carry):
+                wrongs.append(carry[:j] + [(d + 1) % base] + carry[j + 1 :])
+            for wrong in wrongs or [[1]]:  # an empty carry becomes 1
+                bad[k] = (s, r, wrong)
+                assert flags(bad) == [i != k for i in range(n)]
+            bad[k] = (s, r, carry + [0])
+            assert flags(bad) == [True] * n
+
+
+@st.composite
+def checker_inputs(draw):
+    """Operands, and a step list that starts from the true trace and then
+    swaps in arbitrary in-range digits: any r, carries of any length (empty
+    and with high zeros included), and steps past the last multiplier digit."""
+    base = draw(st.integers(2, 36))
+    digit = st.integers(0, base - 1)
+    a = py.strip_high_zeros(draw(st.lists(digit, max_size=8)))
+    b = py.strip_high_zeros(draw(st.lists(digit, max_size=8)))
+    steps = []
+    for s, r, carry in py.incremental(a, b, base)[0]:
+        r = draw(st.one_of(st.just(r), digit))
+        carry = draw(
+            st.one_of(
+                st.just(carry),
+                st.just(carry + [0] * draw(st.integers(1, 3))),
+                st.lists(digit, max_size=len(a) + 2),
+            )
+        )
+        steps.append((s, r, carry))
+    extra = st.tuples(st.just([]), digit, st.lists(digit, max_size=3))
+    steps += draw(st.lists(extra, max_size=2))
+    return a, b, steps, base
+
+
+@settings(max_examples=300)
+@given(checker_inputs())
+def test_check_invariant_matches_int_arithmetic(compiled_kernels, inputs):
+    """Flag k holds iff k < len(b) and the emitted digits through step k
+    plus base**(k+1) times its carry equal a times b mod base**(k+1)."""
+    a, b, steps, base = inputs
+    va, vb = value(a, base), value(b, base)
+    expected = []
+    for k, (_, _, carry) in enumerate(steps):
+        low = sum(step[1] * base**i for i, step in enumerate(steps[: k + 1]))
+        lhs = low + base ** (k + 1) * value(carry, base)
+        expected.append(k < len(b) and lhs == va * (vb % base ** (k + 1)))
+    assert py.check_invariant(a, b, steps, base) == expected
+    assert compiled_kernels.check_invariant(a, b, steps, base) == expected
+
+
 def test_trivial_shapes(backend):
     assert backend.incremental([], [], 10) == ([], [], 0, 0)
     assert backend.incremental([], [3], 10) == ([([], 0, [])], [], 0, 0)
@@ -136,9 +219,6 @@ def test_trivial_shapes(backend):
     assert backend.schoolbook([5], [0, 1], 10) == ([[], [0, 5]], [0, 5], 2, 4)
     assert backend.oracle_mul([], [5], 10) == []
     assert backend.oracle_mul([5], [], 10) == []
-    assert backend.add([], [], 10) == ([], 0)
-    assert backend.mul_by_digit([], 3, 10) == ([], 0, 0)
-    assert backend.mul_by_digit([4, 2], 0, 10) == ([], 2, 2)
     assert backend.check_invariant([], [], [], 10) == []
     assert backend.incremental_product([9, 9], [9], 10) == [1, 9, 8]
     rng = random.Random(1024)
@@ -163,6 +243,9 @@ def test_trivial_shapes(backend):
 
 
 def test_spec_helpers_trivial_shapes():
+    assert py.add([], [], 10) == ([], 0)
+    assert py.mul_by_digit([], 3, 10) == ([], 0, 0)
+    assert py.mul_by_digit([4, 2], 0, 10) == ([], 2, 2)
     assert py.divmod_base([]) == ([], 0)
     assert py.shift([], 4) == []
     assert py.strip_high_zeros([0, 0]) == []
@@ -171,10 +254,6 @@ def test_spec_helpers_trivial_shapes():
 GOOD = [4, 3]
 STEPS = py.incremental(GOOD, GOOD, 10)[0]
 HOSTILE_CALLS = {
-    "add.a": lambda c, x: c.add([x], GOOD, 10),
-    "add.b": lambda c, x: c.add(GOOD, [1, x], 10),
-    "mul_by_digit.a": lambda c, x: c.mul_by_digit([x], 3, 10),
-    "mul_by_digit.d": lambda c, x: c.mul_by_digit(GOOD, x, 10),
     "incremental.a": lambda c, x: c.incremental([x], GOOD, 10),
     "incremental.b": lambda c, x: c.incremental(GOOD, [x], 10),
     "incremental_product.a": lambda c, x: c.incremental_product([x], GOOD, 10),
@@ -190,6 +269,10 @@ HOSTILE_CALLS = {
     ),
     "check_invariant.carry": lambda c, x: c.check_invariant(
         GOOD, GOOD, [STEPS[0], (STEPS[1][0], STEPS[1][1], [x])], 10
+    ),
+    # step 0 already failed: the bad digit must still be read, not skipped
+    "check_invariant.carry_after_mismatch": lambda c, x: c.check_invariant(
+        GOOD, GOOD, [(STEPS[0][0], 9, STEPS[0][2]), (STEPS[1][0], STEPS[1][1], [x])], 10
     ),
 }
 HOSTILE_DIGITS = [
@@ -279,6 +362,20 @@ def test_public_api_on_compiled_kernels(compiled_kernels, monkeypatch):
     assert render_trace_json(trace) == (GOLDEN / "trace_1234x567.json").read_text()
     assert exhaustive_check(40, 7).ok()
     assert random_check(300, 16, all_bases(), seed=7).ok()
+
+
+def test_compiled_mirror_holds_only_the_hot_kernels(compiled_kernels):
+    """The C file mirrors the five kernels multiply and verify run, each
+    against its spec in _kernels_py, and nothing else."""
+    names = {name for name in dir(compiled_kernels) if not name.startswith("_")}
+    assert names == {
+        "incremental",
+        "incremental_product",
+        "schoolbook",
+        "check_invariant",
+        "oracle_mul",
+    }
+    assert all(callable(getattr(py, name)) for name in names)
 
 
 def test_selected_backend_is_exposed():

@@ -89,14 +89,25 @@ def test_render_digits_matches_per_glyph_join():
 
 @pytest.mark.parametrize(
     "bad, error",
-    [(36, ValueError), (-1, ValueError), (300, ValueError), (1.5, TypeError)],
+    [
+        (36, ValueError),
+        (-1, ValueError),
+        (300, ValueError),
+        (1.5, TypeError),
+        (15, ValueError),
+        (2, ValueError),
+    ],
     ids=repr,
 )
 def test_render_digits_rejects_values_outside_the_alphabet(bad, error):
-    """Nothing outside 0..35 renders: -1 used to come out as "z"."""
-    for digits in ([bad], [1, bad, 2]):
-        with pytest.raises(error):
-            render_digits(digits, 36)
+    """A value renders only in a base it is a digit of: -1 used to come out
+    as "z" in any base, and 15 as "f" in base 10."""
+    for base in range(2, 37):
+        if type(bad) is int and 0 <= bad < base:
+            continue
+        for digits in ([bad], [1, bad, 0, 1]):
+            with pytest.raises(error):
+                render_digits(digits, base)
 
 
 def test_normalize_strips_high_zeros():
