@@ -7,6 +7,12 @@ check_invariant and oracle_mul.  On valid input the two must stay
 identical, counters included (see tests/test_backends.py).  The remaining
 helpers, add and mul_by_digit among them, live here only.
 
+Every kernel works digit by digit except incremental_product, the kernel
+behind ``multiply``: it runs the paper's step in radix base**g, over limbs
+of g digits with base**g <= 2**30 (``limb_radix``), and converts only at
+its edges.  incremental (the trace), check_invariant (verify) and the
+counters stay digit-level, since they audit the "same digit work" claim.
+
 The kernels are internal and unchecked: they trust their caller to pass
 canonical digits in 0..base-1, and on anything else their output is
 undefined (``incremental([300], [3], 10)`` returns ``[0, 90]`` here, while
@@ -145,31 +151,76 @@ def incremental(a, b, base):
     return steps, strip_high_zeros(out), mults, adds
 
 
+LIMB_LIMIT = 1 << 30
+
+
+def limb_radix(base):
+    """(g, base**g) for the largest g with base**g <= 2**30.
+
+    g is 30/9/7/5 for bases 2/10/16/36.  A limb of g digits is then one
+    CPython int digit (one uint32_t in C), and a limb product plus two limbs
+    stays below 2**60.
+    """
+    g, radix = 1, base
+    while radix * base <= LIMB_LIMIT:
+        g += 1
+        radix *= base
+    return g, radix
+
+
+def _pack(digits, lo, g, base):
+    """The limb of digits[lo:lo+g] (fewer digits at the top end)."""
+    limb = 0
+    for d in reversed(digits[lo : lo + g]):
+        limb = limb * base + d
+    return limb
+
+
+def _unpack(limb, out, lo, base):
+    """Write the digits of limb over out[lo:], up to its highest nonzero one."""
+    while limb:
+        limb, out[lo] = divmod(limb, base)
+        lo += 1
+
+
 def incremental_product(a, b, base):
     """The product of ``incremental`` alone, holding one carry buffer.
 
-    Each step fuses mul_by_digit, add and divmod_base into one pass over
-    the len(a)-digit carry: position i of s = a*b[k] + carry is read, and
-    its digit written back one place lower, so the buffer ends the pass
-    holding floor(s / base) and s mod base is emitted.  The digit work is
-    that of ``incremental``, but no step's sum or carry is kept and no
-    counters are returned.  Every partial value a[i]*b[k] + carry[i] + c is
-    below base**2, so each c is a single digit.
+    This is the paper's step run in radix base**g (see ``limb_radix``): a
+    is packed once into limbs of g digits, and step k multiplies it by the
+    k-th limb of b, packed when the step runs.  One fused pass over the
+    limb carry reads limb i of s = a*d + carry and writes its low limb back
+    one place lower, so the buffer ends the pass holding floor(s / base**g)
+    and the low limb of s is emitted, unpacked straight into the output.
+    Every partial value a[i]*d + carry[i] + c is below base**(2g), so each
+    c is a single limb.  No step's sum or carry is kept and no counters are
+    returned: ``incremental``, the trace, verify and the counters stay
+    digit-level.
     """
-    la = len(a)
-    if not la or not b:
+    la, lb = len(a), len(b)
+    if not la or not lb:
         return []
-    carry = [0] * la
-    out = []
-    for d in b:
-        c, r = divmod(a[0] * d + carry[0], base)
-        for i in range(1, la):
-            c, carry[i - 1] = divmod(a[i] * d + carry[i] + c, base)
-        carry[la - 1] = c
-        out.append(r)
-    # result = carry * base**len(b) + sum(r[k] * base**k)
-    out += carry
-    return strip_high_zeros(out)
+    g, radix = limb_radix(base)
+    limbs = [_pack(a, i, g, base) for i in range(0, la, g)]
+    n = len(limbs)
+    carry = [0] * n
+    out = [0] * (la + lb + 2 * g)
+    for k in range(0, lb, g):
+        d = _pack(b, k, g, base)
+        c, r = divmod(limbs[0] * d + carry[0], radix)
+        for i in range(1, n):
+            c, carry[i - 1] = divmod(limbs[i] * d + carry[i] + c, radix)
+        carry[n - 1] = c
+        _unpack(r, out, k, base)
+    # result = carry * base**top + the emitted limbs, top = g * (steps run)
+    top = k + g
+    for i in range(n):
+        _unpack(carry[i], out, top + i * g, base)
+    size = top + n * g
+    while size and out[size - 1] == 0:
+        size -= 1
+    del out[size:]
+    return out
 
 
 def schoolbook(a, b, base):

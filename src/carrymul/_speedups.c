@@ -10,14 +10,18 @@
    Bases stop at 36, so a digit fits in a byte.  Every kernel copies its
    operands into byte buffers once, rejecting any digit that is not an int
    in 0..base-1, loops in C and turns only its results back into lists.
+   incremental_product alone loops over limbs of g digits (uint32_t limbs
+   below 2**30, uint64_t partial values); the others loop over digits.
    The digit helpers below may write their output over one of their inputs:
    position i is always read before it is written. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdint.h>
 #include <string.h>
 
 #define MAX_BASE 36
+#define LIMB_LIMIT (UINT64_C(1) << 30)
 
 typedef unsigned char u8;  /* one digit */
 
@@ -109,6 +113,44 @@ halve(u8 *m, Py_ssize_t lm, int base, int *bit)
     }
     *bit = r;
     return strip(m, lm);
+}
+
+/* -- limbs: g digits in one uint32_t --------------------------------------- */
+
+/* g and base**g for the largest g with base**g <= 2**30, as
+   _kernels_py.limb_radix.  A limb product plus two limbs then stays below
+   2**60, so one uint64_t holds every partial value of a limb step. */
+static int
+limb_radix(int base, uint32_t *radix)
+{
+    int g = 1;
+    uint32_t r = (uint32_t)base;
+    while ((uint64_t)r * base <= LIMB_LIMIT) {
+        r *= (uint32_t)base;
+        g++;
+    }
+    *radix = r;
+    return g;
+}
+
+/* The limb of x[lo..lo+g), fewer digits at the top end of x[0..n). */
+static uint32_t
+pack_limb(const u8 *x, Py_ssize_t n, Py_ssize_t lo, int g, int base)
+{
+    Py_ssize_t i = lo + g < n ? lo + g : n;
+    uint32_t limb = 0;
+    while (i > lo)
+        limb = limb * (uint32_t)base + x[--i];
+    return limb;
+}
+
+/* Write the digits of limb over out[0..], up to its highest nonzero one:
+   the zero digits above it, up to the limb's g, are left as they are. */
+static void
+unpack_limb(uint32_t limb, u8 *out, int base)
+{
+    for (; limb; limb /= (uint32_t)base)
+        *out++ = (u8)(limb % (uint32_t)base);
 }
 
 /* -- conversion between Python objects and digit buffers ----------------- */
@@ -273,30 +315,60 @@ done:
     return res;
 }
 
-/* The result of py_incremental without its steps.  Step k adds a * b[k] to
-   the window out[k..k+la], whose low la digits hold the carry left by step
-   k-1: out[k] is then the emitted digit and out[k+1..k+la] the carry that
-   step k+1 reads, so the carry moves down one place by advancing the
-   window, not by copying. */
+/* The result of py_incremental without its steps, computed as in
+   _kernels_py.incremental_product: the paper's step in radix base**g.  a is
+   packed once into limbs; step k multiplies them by the k-th limb of b, adds
+   the limb carry, writes each limb of the sum one place lower in the carry
+   and unpacks the low limb into out[k..k+g) as it is emitted.  The final
+   carry is unpacked above the emitted limbs. */
 static PyObject *
 py_incremental_product(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int base;
-    Py_ssize_t la, lb;
+    int base, g;
+    uint32_t radix;
+    Py_ssize_t la, lb, n, k = 0;
     u8 *a = NULL, *b = NULL, *out = NULL;
+    uint32_t *limbs = NULL, *carry;
     PyObject *res = NULL;
     if (parse("incremental_product", nargs, 3, args, &base) < 0
         || !(a = load(args[0], base, 0, &la))
-        || !(b = load(args[1], base, 0, &lb))
-        || !(out = alloc(la + lb)))
+        || !(b = load(args[1], base, 0, &lb)))
         goto done;
-    memset(out, 0, la);  /* the carry into step 0 */
-    for (Py_ssize_t k = 0; k < lb; k++)
-        mul_add_into(a, la, b[k], out + k, base);
-    res = to_list(out, strip(out, la + lb));
+    if (la == 0 || lb == 0) {
+        res = PyList_New(0);
+        goto done;
+    }
+    g = limb_radix(base, &radix);
+    n = (la + g - 1) / g;
+    /* the carry into step 0 is zero, and unpack_limb leaves the zero
+       digits above a limb's highest nonzero one unwritten */
+    if (!(limbs = PyMem_Calloc(2 * n, sizeof(uint32_t)))
+        || !(out = PyMem_Calloc(la + lb + 2 * g, 1))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    carry = limbs + n;
+    for (Py_ssize_t i = 0; i < n; i++)
+        limbs[i] = pack_limb(a, la, i * g, g, base);
+    for (; k < lb; k += g) {
+        uint64_t d = pack_limb(b, lb, k, g, base);
+        uint64_t t = limbs[0] * d + carry[0], c = t / radix;
+        uint32_t r = (uint32_t)(t % radix);
+        for (Py_ssize_t i = 1; i < n; i++) {
+            t = limbs[i] * d + carry[i] + c;
+            carry[i - 1] = (uint32_t)(t % radix);
+            c = t / radix;
+        }
+        carry[n - 1] = (uint32_t)c;
+        unpack_limb(r, out + k, base);
+    }
+    for (Py_ssize_t i = 0; i < n; i++)  /* k is now g * (steps run) */
+        unpack_limb(carry[i], out + k + i * g, base);
+    res = to_list(out, strip(out, k + n * g));
 done:
     PyMem_Free(a);
     PyMem_Free(b);
+    PyMem_Free(limbs);
     PyMem_Free(out);
     return res;
 }

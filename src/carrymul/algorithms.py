@@ -11,10 +11,12 @@ The schoolbook algorithm is the classical contrast: it builds every shifted
 partial-product row first and adds them all at the end.
 
 ``incremental_multiply`` and ``schoolbook_multiply`` record a full Trace so
-the work can be replayed, rendered and audited.  ``multiply`` returns the
+the work can be replayed, rendered and audited; they, ``check_invariant``
+and the operation counters stay digit-level.  ``multiply`` returns the
 product alone: for the incremental algorithm it runs a kernel that holds one
 carry buffer and records nothing, so its memory stays linear in the operand
-lengths.
+lengths, and that kernel runs the same step in radix base**g, with g digits
+per limb and base**g <= 2**30 (see ``_kernels_py.incremental_product``).
 """
 
 from __future__ import annotations
@@ -120,8 +122,9 @@ def multiply(a: Natural, b: Natural, algorithm: str = INCREMENTAL) -> Natural:
     """Product of a and b via the chosen algorithm.
 
     The incremental product comes from a kernel that keeps only the carry,
-    no steps; schoolbook still builds its Trace, since storing every row is
-    what defines it.
+    no steps, and runs the paper's step over limbs of g digits (radix
+    base**g <= 2**30); schoolbook still builds its Trace, since storing
+    every row is what defines it.
     """
     if algorithm not in TRACED:
         raise ValueError(f"unknown algorithm {algorithm!r}")

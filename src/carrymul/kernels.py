@@ -5,7 +5,9 @@ kernels that ``multiply`` and ``verify`` run: ``incremental``,
 ``incremental_product``, ``schoolbook``, ``check_invariant`` and
 ``oracle_mul``.  Both backends expose them over little-endian digit lists
 or tuples (see ``_kernels_py`` for the representation, the output rule and
-the counter conventions).  The other helpers (``add``, ``mul_by_digit``,
+the counter conventions).  ``incremental_product``, which ``multiply`` runs,
+works in radix base**g (g digits per limb, base**g <= 2**30) in both
+backends; the trace, verify and the counters stay digit-level.  The other helpers (``add``, ``mul_by_digit``,
 ``strip_high_zeros``, ``compare``, ``divmod_base``, ``shift``) exist only
 in ``_kernels_py`` and are called from there directly.
 

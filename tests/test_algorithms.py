@@ -162,18 +162,20 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("base", [10, 36])
 @pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_multiply_holds_one_carry_buffer(backend, request, monkeypatch):
+def test_multiply_holds_one_carry_buffer(backend, base, request, monkeypatch):
     """The paper's memory claim, as allocation counts rather than timings:
     the result-only product stores no steps and no rows, so its peak sits
     far below the traced run's and schoolbook's, and grows linearly (a
-    quadratic peak would grow ~16x from 256^2 to 1024^2)."""
+    quadratic peak would grow ~16x from 256^2 to 1024^2).  Base 36 packs
+    the fewest digits per limb, so it holds the most limb objects."""
     if backend == "compiled":
         monkeypatch.setattr(kernels, "impl", request.getfixturevalue("compiled_kernels"))
     rng = random.Random(512)
 
     def operand(n):
-        return from_int(rng.randrange(10 ** (n - 1), 10**n), 10)
+        return from_int(rng.randrange(base ** (n - 1), base**n), base)
 
     a, b = operand(512), operand(512)
     peak = traced_peak(lambda: multiply(a, b))

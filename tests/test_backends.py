@@ -235,6 +235,20 @@ def test_trivial_shapes(backend):
         (long, [9], 10),
         ([9], long, 10),
     ]
+    # limb edges of incremental_product, which packs g digits per limb
+    for base in (2, 10, 16, 36):
+        g = py.limb_radix(base)[0]
+        top = base - 1  # every digit maximal: the largest carries
+        full = [[top] * n for n in (g - 1, g, g + 1, 2 * g + 1)]
+        zero_low_limb = [0] * g + [1]
+        shapes += [(a, b, base) for a in full for b in full]
+        shapes += [
+            (zero_low_limb, zero_low_limb, base),
+            (zero_low_limb, full[-1], base),
+            (full[-1], zero_low_limb, base),
+            ([top], full[-1], base),
+            (full[-1], [top], base),
+        ]
     for a, b, base in shapes:
         product = backend.incremental_product(a, b, base)
         assert product == backend.incremental(a, b, base)[1]
