@@ -34,10 +34,15 @@ included, is an exact int in 0..base-1.  The package wraps these outputs in
 
 Counter conventions (fixed, so operation counts are deterministic):
   * add: one digit_add per digit position processed (max of the two lengths),
-    plus one when a final carry digit is emitted.
+    plus one when a final carry digit is emitted: the length of the sum.
   * mul_by_digit: one digit_mult per digit of the multiplicand, zeros
     included; one digit_add per position for carry absorption.  Placing a
     final carry digit is not an addition and does not tick.
+
+The helpers return digits only; the kernels count in closed form:
+digit_mults = len(a)*len(b) and digit_adds = len(a)*len(b) plus the sum of
+len(s_k) over k >= 1 (incremental) or of len(acc_j) over j >= 1
+(schoolbook, acc_j being the running sum of rows 0..j).
 """
 
 
@@ -61,7 +66,7 @@ def compare(a, b):
 
 
 def add(a, b, base):
-    """Return (a + b, digit_adds)."""
+    """Return a + b."""
     la, lb = len(a), len(b)
     if la < lb:
         a, b = b, a
@@ -84,15 +89,13 @@ def add(a, b, base):
         else:
             out[i] = t
             carry = 0
-    adds = la
     if carry:
         out.append(carry)
-        adds += 1
-    return out, adds
+    return out
 
 
 def mul_by_digit(a, d, base):
-    """Return (a * d, digit_mults, digit_adds) for a single digit d."""
+    """Return a * d for a single digit d."""
     la = len(a)
     out = [0] * la
     carry = 0
@@ -101,7 +104,7 @@ def mul_by_digit(a, d, base):
     if carry:
         out.append(carry)
     # only d == 0 can leave high zeros
-    return strip_high_zeros(out) if d == 0 else out, la, la
+    return strip_high_zeros(out) if d == 0 else out
 
 
 def divmod_base(n):
@@ -127,28 +130,19 @@ def incremental(a, b, base):
     steps is a list of (s, r, carry_out) triples in step order.
     """
     steps = []
-    mults = 0
-    adds = 0
+    mults = adds = len(a) * len(b)
     carry = []
-    rdigits = []
-    for k in range(len(b)):
-        s, m, ad = mul_by_digit(a, b[k], base)
-        mults += m
-        adds += ad
+    emitted = []
+    for k, d in enumerate(b):
+        s = mul_by_digit(a, d, base)
         if k:
-            s, ad = add(s, carry, base)
-            adds += ad
+            s = add(s, carry, base)
+            adds += len(s)
         carry, r = divmod_base(s)
         steps.append((s, r, carry))
-        rdigits.append(r)
-    n = len(b)
-    if n == 0:
-        return steps, [], mults, adds
-    # result = carry * base**n + sum(r[i] * base**i): shift then place digits
-    out = [0] * n + carry
-    for i in range(n):
-        out[i] = rdigits[i]
-    return steps, strip_high_zeros(out), mults, adds
+        emitted.append(r)
+    # result = carry * base**len(b) + sum(r[i] * base**i)
+    return steps, strip_high_zeros(emitted + carry), mults, adds
 
 
 LIMB_LIMIT = 1 << 30
@@ -229,20 +223,12 @@ def schoolbook(a, b, base):
     Returns (rows, result, digit_mults, digit_adds).  Rows are kept whole
     and summed left to right so the counters are deterministic.
     """
-    rows = []
-    mults = 0
-    adds = 0
-    for j in range(len(b)):
-        p, m, ad = mul_by_digit(a, b[j], base)
-        mults += m
-        adds += ad
-        rows.append(shift(p, j))
-    if not rows:
-        return rows, [], mults, adds
-    acc = rows[0]
-    for j in range(1, len(rows)):
-        acc, ad = add(acc, rows[j], base)
-        adds += ad
+    rows = [shift(mul_by_digit(a, d, base), j) for j, d in enumerate(b)]
+    mults = adds = len(a) * len(b)
+    acc = rows[0] if rows else []
+    for row in rows[1:]:
+        acc = add(acc, row, base)
+        adds += len(acc)
     return rows, acc, mults, adds
 
 
@@ -304,7 +290,7 @@ def oracle_mul(a, b, base):
     while m:
         m, bit = _halve(m, base)
         if bit:
-            acc, _ = add(acc, addend, base)
+            acc = add(acc, addend, base)
         if m:
-            addend, _ = add(addend, addend, base)
+            addend = add(addend, addend, base)
     return acc

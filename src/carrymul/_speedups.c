@@ -5,7 +5,11 @@
    check_invariant and oracle_mul.
    Each takes and returns the same lists, tuples and counters as its
    pure-Python spec (see that module for the representation and the
-   counting rules), so the two backends can be compared with ==.
+   counting rules), so the two backends can be compared with ==.  The
+   counters come from lengths the kernels hold: digit_mults = la * lb, and
+   digit_adds = la * lb plus the length of every sum after the first value
+   (each step sum s_k, k >= 1, in incremental; each running sum of rows
+   0..j, j >= 1, in schoolbook).
 
    Bases stop at 36, so a digit fits in a byte.  Every kernel copies its
    operands into byte buffers once, rejecting any digit that is not an int
@@ -35,11 +39,11 @@ strip(const u8 *x, Py_ssize_t n)
     return n;
 }
 
-/* out = x + y; out needs room for max(lx, ly) + 1 digits.  Adds the
-   digit_adds of _kernels_py.add to *adds and returns the length of out. */
+/* out = x + y; out needs room for max(lx, ly) + 1 digits.  Returns the
+   length of out, which is also the digit_adds of _kernels_py.add. */
 static Py_ssize_t
 add_into(const u8 *x, Py_ssize_t lx, const u8 *y, Py_ssize_t ly,
-         u8 *out, int base, Py_ssize_t *adds)
+         u8 *out, int base)
 {
     if (lx < ly) {
         const u8 *t = x;
@@ -52,7 +56,6 @@ add_into(const u8 *x, Py_ssize_t lx, const u8 *y, Py_ssize_t ly,
         carry = t >= base;
         out[i] = (u8)(carry ? t - base : t);
     }
-    *adds += lx + carry;
     if (carry)
         out[lx++] = 1;
     return lx;
@@ -279,7 +282,7 @@ static PyObject *
 py_incremental(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int base;
-    Py_ssize_t la, lb, lc = 0, adds = 0, unused = 0;
+    Py_ssize_t la, lb, lc = 0, adds;
     u8 *a = NULL, *b = NULL, *t = NULL, *out = NULL;
     PyObject *steps = NULL, *res = NULL;
     if (parse("incremental", nargs, 3, args, &base) < 0
@@ -288,12 +291,13 @@ py_incremental(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         || !(t = alloc(la + 1)) || !(out = alloc(la + lb + 2))
         || !(steps = PyList_New(lb)))
         goto done;
+    adds = la * lb;
     for (Py_ssize_t k = 0; k < lb; k++) {
         u8 *s = out + k;
         Py_ssize_t lt = mul_into(a, la, b[k], t, base);
-        /* step 0 has no carry in, and its copy of t counts no additions */
-        Py_ssize_t ls = add_into(t, lt, s, lc, s, base, k ? &adds : &unused);
-        adds += la;
+        Py_ssize_t ls = add_into(t, lt, s, lc, s, base);
+        if (k)  /* step 0 has no carry in: its copy of t is no addition */
+            adds += ls;
         if (ls == 0)
             s[0] = 0;
         lc = ls ? ls - 1 : 0;
@@ -377,7 +381,7 @@ static PyObject *
 py_schoolbook(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int base;
-    Py_ssize_t la, lb, lacc = 0, adds = 0, unused = 0;
+    Py_ssize_t la, lb, lacc = 0, adds;
     u8 *a = NULL, *b = NULL, *row = NULL, *acc = NULL;
     PyObject *rows = NULL, *res = NULL;
     if (parse("schoolbook", nargs, 3, args, &base) < 0
@@ -386,15 +390,16 @@ py_schoolbook(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         || !(row = alloc(la + lb + 1)) || !(acc = alloc(la + lb + 2))
         || !(rows = PyList_New(lb)))
         goto done;
+    adds = la * lb;
     for (Py_ssize_t j = 0; j < lb; j++) {
         Py_ssize_t lrow = shifted_row(a, la, b[j], j, row, base);
         PyObject *r = to_list(row, lrow);
         if (r == NULL)
             goto done;
         PyList_SET_ITEM(rows, j, r);
-        adds += la;
-        /* row 0 is copied into the empty sum without counting additions */
-        lacc = add_into(acc, lacc, row, lrow, acc, base, j ? &adds : &unused);
+        lacc = add_into(acc, lacc, row, lrow, acc, base);
+        if (j)  /* row 0 is copied into the empty sum: no addition */
+            adds += lacc;
     }
     res = pack(4, (PyObject *[]){Py_NewRef(rows), to_list(acc, lacc),
                                  SIZE(la * lb), SIZE(adds)});
@@ -477,7 +482,7 @@ static PyObject *
 py_oracle_mul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int base, bit;
-    Py_ssize_t la, lm, lacc = 0, unused = 0;
+    Py_ssize_t la, lm, lacc = 0;
     u8 *addend = NULL, *m = NULL, *acc = NULL;
     PyObject *res = NULL;
     if (parse("oracle_mul", nargs, 3, args, &base) < 0
@@ -488,9 +493,9 @@ py_oracle_mul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     while (lm) {
         lm = halve(m, lm, base, &bit);
         if (bit)
-            lacc = add_into(acc, lacc, addend, la, acc, base, &unused);
+            lacc = add_into(acc, lacc, addend, la, acc, base);
         if (lm)
-            la = add_into(addend, la, addend, la, addend, base, &unused);
+            la = add_into(addend, la, addend, la, addend, base);
     }
     res = to_list(acc, lacc);
 done:

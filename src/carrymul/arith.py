@@ -33,9 +33,9 @@ class OpCounters:
 
 def add(a: Natural, b: Natural, counters: OpCounters | None = None) -> Natural:
     base = require_same_base(a, b)
-    digits, adds = _kernels_py.add(a.digits, b.digits, base)
+    digits = _kernels_py.add(a.digits, b.digits, base)
     if counters is not None:
-        counters.digit_adds += adds
+        counters.digit_adds += len(digits)
     return wrap(digits, base)
 
 
@@ -43,10 +43,10 @@ def mul_by_digit(a: Natural, d: int, counters: OpCounters | None = None) -> Natu
     """Multiply a multi-digit value by one digit of the same base."""
     if type(d) is not int or not 0 <= d < a.base:
         raise ValueError(f"{d!r} is not a base-{a.base} digit")
-    digits, mults, adds = _kernels_py.mul_by_digit(a.digits, d, a.base)
+    digits = _kernels_py.mul_by_digit(a.digits, d, a.base)
     if counters is not None:
-        counters.digit_mults += mults
-        counters.digit_adds += adds
+        counters.digit_mults += len(a)
+        counters.digit_adds += len(a)
     return wrap(digits, a.base)
 
 

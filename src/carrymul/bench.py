@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK, TRACED
 from carrymul.arith import OpCounters
-from carrymul.digits import Natural, require_same_base
+from carrymul.digits import Natural, check_count, require_same_base
 
 
 @dataclass
@@ -54,8 +54,7 @@ def stored_intermediates(algorithm: str, len_b: int) -> int:
 
 def compare_algorithms(a: Natural, b: Natural, reps: int = 1) -> BenchReport:
     base = require_same_base(a, b)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    check_count("reps", reps)
 
     counters = {}
     medians = {}

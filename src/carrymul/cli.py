@@ -75,6 +75,14 @@ def _operands(args):
     return a, b
 
 
+def _emit(args, value, as_json, as_text):
+    """Write value in the requested --format: JSON as is, text plus a newline."""
+    if args.format == "json":
+        sys.stdout.write(as_json(value))
+    else:
+        print(as_text(value))
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -92,10 +100,7 @@ def run(argv) -> int:
         if args.subcommand == "trace":
             a, b = _operands(args)
             trace = algorithms.TRACED[args.algo](a, b)
-            if args.format == "json":
-                sys.stdout.write(trace_io.render_trace_json(trace))
-            else:
-                print(trace_io.render_trace_text(trace))
+            _emit(args, trace, trace_io.render_trace_json, trace_io.render_trace_text)
             return EXIT_OK
 
         if args.subcommand == "verify":
@@ -120,10 +125,9 @@ def run(argv) -> int:
                 )
             else:
                 report = oracle.exhaustive_check(args.limit, args.base or 10)
-            if args.format == "json":
-                sys.stdout.write(trace_io.render_report_json(report))
-            else:
-                print(trace_io.render_report_text(report))
+            _emit(
+                args, report, trace_io.render_report_json, trace_io.render_report_text
+            )
             return EXIT_OK if report.ok() else EXIT_MISMATCH
 
         if args.subcommand == "bench":
@@ -131,10 +135,7 @@ def run(argv) -> int:
 
             a, b = _operands(args)
             report = bench.compare_algorithms(a, b, args.reps)
-            if args.format == "json":
-                sys.stdout.write(trace_io.render_bench_json(report))
-            else:
-                print(trace_io.render_bench_text(report))
+            _emit(args, report, trace_io.render_bench_json, trace_io.render_bench_text)
             return EXIT_OK
     except (Error, ValueError) as exc:
         print(f"carrymul: {exc}", file=sys.stderr)

@@ -39,11 +39,16 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def check_base(base):
-    if not isinstance(base, int) or isinstance(base, bool):
-        raise BaseOutOfRange(base)
-    if not MIN_BASE <= base <= MAX_BASE:
+    is_int = isinstance(base, int) and not isinstance(base, bool)
+    if not is_int or not MIN_BASE <= base <= MAX_BASE:
         raise BaseOutOfRange(base)
     return base
+
+
+def check_count(name, value):
+    """Raise ValueError unless value is an exact int (not bool) >= 1."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from carrymul.digits import (
     MIN_BASE,
     Natural,
     check_base,
+    check_count,
     int_from_digits,
     int_to_digits,
     render_digits,
@@ -147,8 +148,7 @@ def _finalize(report, started):
 def exhaustive_check(limit: int, base: int = 10) -> VerifyReport:
     """Check every pair (x, y) with 0 <= x, y < limit against all routes."""
     check_base(base)
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    check_count("limit", limit)
     started = time.perf_counter()
     report = VerifyReport(mode="exhaustive", params={"limit": limit, "base": base})
     vectors = [int_to_digits(x, base) for x in range(limit)]
@@ -168,10 +168,10 @@ def random_check(trials: int, max_digits: int, bases, seed: int) -> VerifyReport
     of a and of b from the units up, the top digit from 1..base-1 so the
     vector is canonical at exactly the drawn length.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if max_digits < 1:
-        raise ValueError("max_digits must be >= 1")
+    check_count("trials", trials)
+    check_count("max_digits", max_digits)
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     base_list = sorted(set(bases))
     for b in base_list:
         check_base(b)

@@ -94,10 +94,10 @@ def test_spec_add_and_mul_by_digit_against_int_arithmetic():
         a = random_vector(rng, base, 12)
         b = random_vector(rng, base, 12)
         va, vb = value(a, base), value(b, base)
-        res, _ = py.add(a, b, base)
+        res = py.add(a, b, base)
         assert value(res, base) == va + vb
         assert_canonical(res, base)
-        res, _, _ = py.mul_by_digit(a, b[0] if b else 0, base)
+        res = py.mul_by_digit(a, b[0] if b else 0, base)
         assert value(res, base) == va * (b[0] if b else 0)
         assert_canonical(res, base)
 
@@ -212,6 +212,59 @@ def test_check_invariant_matches_int_arithmetic(compiled_kernels, inputs):
     assert compiled_kernels.check_invariant(a, b, steps, base) == expected
 
 
+def ndigits(n, base):
+    """Length of the canonical vector of n: zero has no digits."""
+    length = 0
+    while n:
+        n //= base
+        length += 1
+    return length
+
+
+def add_cost(x, y, base):
+    """digit_adds of one add: max of the operand lengths, plus one when a
+    final carry digit is emitted."""
+    width = max(ndigits(x, base), ndigits(y, base))
+    return width + (ndigits(x + y, base) > width)
+
+
+@st.composite
+def counter_inputs(draw):
+    base = draw(st.integers(2, 36))
+    digit = st.one_of(st.just(0), st.just(base - 1), st.integers(0, base - 1))
+    a, b = draw(st.lists(digit, max_size=12)), draw(st.lists(digit, max_size=12))
+    for v in (a, b):
+        while v and v[-1] == 0:
+            v.pop()
+    return a, b, base
+
+
+@settings(max_examples=300)
+@given(counter_inputs())
+def test_counters_follow_the_convention(compiled_kernels, inputs):
+    """digit_mults and digit_adds of both algorithms, recomputed in int
+    arithmetic: each mul_by_digit ticks len(a) mults and len(a) adds, and
+    each add after the first value ticks add_cost."""
+    a, b, base = inputs
+    va, la, lb = value(a, base), len(a), len(b)
+    mults = la * lb
+    carry, inc_adds = 0, la * lb
+    for k, d in enumerate(b):
+        s = va * d + carry
+        if k:
+            inc_adds += add_cost(va * d, carry, base)
+        carry = s // base
+    acc, sch_adds = 0, la * lb
+    for j, d in enumerate(b):
+        row = va * d * base**j
+        if j:
+            sch_adds += add_cost(acc, row, base)
+        acc += row
+    for backend in (py, compiled_kernels):
+        assert backend.incremental(a, b, base)[2:] == (mults, inc_adds)
+        assert backend.schoolbook(a, b, base)[2:] == (mults, sch_adds)
+
+
 def test_trivial_shapes(backend):
     assert backend.incremental([], [], 10) == ([], [], 0, 0)
     assert backend.incremental([], [3], 10) == ([([], 0, [])], [], 0, 0)
@@ -257,9 +310,9 @@ def test_trivial_shapes(backend):
 
 
 def test_spec_helpers_trivial_shapes():
-    assert py.add([], [], 10) == ([], 0)
-    assert py.mul_by_digit([], 3, 10) == ([], 0, 0)
-    assert py.mul_by_digit([4, 2], 0, 10) == ([], 2, 2)
+    assert py.add([], [], 10) == []
+    assert py.mul_by_digit([], 3, 10) == []
+    assert py.mul_by_digit([4, 2], 0, 10) == []
     assert py.divmod_base([]) == ([], 0)
     assert py.shift([], 4) == []
     assert py.strip_high_zeros([0, 0]) == []

@@ -1,6 +1,7 @@
 import pytest
 
-from carrymul import kernels
+from carrymul import kernels, oracle
+from carrymul.bench import compare_algorithms
 from carrymul.digits import from_int, parse_natural, to_int
 from carrymul.oracle import (
     SplitMix64,
@@ -119,6 +120,42 @@ def test_random_validates_args():
         random_check(4, 0, {10}, seed=1)
     with pytest.raises(ValueError):
         random_check(4, 4, set(), seed=1)
+
+
+DRIVER_CALLS = {
+    "limit=True": lambda: exhaustive_check(True),
+    "limit=2.5": lambda: exhaustive_check(2.5),
+    "limit=0": lambda: exhaustive_check(0),
+    "trials=True": lambda: random_check(True, 4, [10], 0),
+    "trials=1.5": lambda: random_check(1.5, 4, [10], 0),
+    "max_digits=True": lambda: random_check(4, True, [10], 0),
+    "max_digits=2.0": lambda: random_check(4, 2.0, [10], 0),
+    "seed=1.5": lambda: random_check(4, 4, [10], 1.5),
+    "seed=True": lambda: random_check(4, 4, [10], True),
+    "seed='1'": lambda: random_check(4, 4, [10], "1"),
+    "reps=True": lambda: compare_algorithms(n("12"), n("34"), True),
+    "reps=2.0": lambda: compare_algorithms(n("12"), n("34"), 2.0),
+    "reps=0": lambda: compare_algorithms(n("12"), n("34"), 0),
+}
+
+
+@pytest.mark.parametrize("call", DRIVER_CALLS.values(), ids=DRIVER_CALLS.keys())
+def test_drivers_take_only_int_sizes(call):
+    """A size that is not an exact int >= 1, or a seed that is not an exact
+    int, raises ValueError: a bool would be written into the report JSON as
+    true, and a float would fail later with a bare TypeError."""
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_random_masks_negative_seeds(monkeypatch):
+    """A negative seed is valid and draws as the seed mod 2**64."""
+    drawn = []
+    monkeypatch.setattr(oracle, "_check_pair", lambda *args: drawn.append(args[:3]))
+    report = random_check(20, 6, {2, 10, 36}, seed=-1)
+    assert report.params["seed"] == -1
+    random_check(20, 6, {2, 10, 36}, seed=2**64 - 1)
+    assert drawn[:20] == drawn[20:]
 
 
 def test_mismatch_reporting_via_stubbed_backend(monkeypatch):
