@@ -21,11 +21,9 @@ per limb and base**g <= 2**30 (see ``_kernels_py.incremental_product``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from carrymul import kernels
 from carrymul.arith import OpCounters
-from carrymul.digits import Natural, check_digits, require_same_base, wrap
+from carrymul.digits import FrozenRecord, Natural, check_digits, require_same_base, wrap
 from carrymul.errors import WrongAlgorithm
 
 INCREMENTAL = "incremental"
@@ -33,26 +31,42 @@ SCHOOLBOOK = "schoolbook"
 ALGORITHMS = (INCREMENTAL, SCHOOLBOOK)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(FrozenRecord):
     """One incremental step: full sum s, emitted digit r, outgoing carry."""
 
-    k: int
-    s: Natural
-    r: int
-    c_next: Natural
+    __slots__ = ("k", "s", "r", "c_next")
+
+    def __init__(self, k: int, s: Natural, r: int, c_next: Natural):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c_next", c_next)
 
 
-@dataclass(frozen=True)
-class Trace:
-    algorithm: str
-    base: int
-    a: Natural
-    b: Natural
-    steps: tuple[StepRecord, ...]  # incremental only
-    rows: tuple[Natural, ...]  # schoolbook only
-    result: Natural
-    counters: OpCounters
+class Trace(FrozenRecord):
+    """One traced run: steps for incremental only, rows for schoolbook only."""
+
+    __slots__ = ("algorithm", "base", "a", "b", "steps", "rows", "result", "counters")
+
+    def __init__(
+        self,
+        algorithm: str,
+        base: int,
+        a: Natural,
+        b: Natural,
+        steps: tuple[StepRecord, ...],
+        rows: tuple[Natural, ...],
+        result: Natural,
+        counters: OpCounters,
+    ):
+        object.__setattr__(self, "algorithm", algorithm)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "counters", counters)
 
 
 def incremental_multiply(a: Natural, b: Natural) -> Trace:

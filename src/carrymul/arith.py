@@ -7,14 +7,11 @@ instance must not be shared across concurrent computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from carrymul import _kernels_py
-from carrymul.digits import Natural, require_same_base, wrap
+from carrymul.digits import Natural, Record, require_same_base, wrap
 
 
-@dataclass
-class OpCounters:
+class OpCounters(Record):
     """Tallies of elementary digit operations.
 
     digit_mults counts single-digit by single-digit multiplications; zeros
@@ -23,8 +20,11 @@ class OpCounters:
     included (a convention, see _kernels_py).
     """
 
-    digit_mults: int = 0
-    digit_adds: int = 0
+    __slots__ = ("digit_mults", "digit_adds")
+
+    def __init__(self, digit_mults: int = 0, digit_adds: int = 0):
+        self.digit_mults = digit_mults
+        self.digit_adds = digit_adds
 
     def merge(self, other: "OpCounters"):
         self.digit_mults += other.digit_mults

@@ -10,24 +10,48 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
 
 from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK, TRACED
 from carrymul.arith import OpCounters
-from carrymul.digits import Natural, check_count, require_same_base
+from carrymul.digits import Natural, Record, check_count, require_same_base
 
 
-@dataclass
-class BenchReport:
-    base: int
-    len_a: int
-    len_b: int
-    reps: int
-    counters: dict[str, OpCounters]
-    retained: dict[str, int]
-    stored: dict[str, int]
-    final_sum_adds: dict[str, int]
-    median_s: dict[str, float]
+class BenchReport(Record):
+    """compare_algorithms' result; each dict maps algorithm name to a value."""
+
+    __slots__ = (
+        "base",
+        "len_a",
+        "len_b",
+        "reps",
+        "counters",
+        "retained",
+        "stored",
+        "final_sum_adds",
+        "median_s",
+    )
+
+    def __init__(
+        self,
+        base: int,
+        len_a: int,
+        len_b: int,
+        reps: int,
+        counters: dict[str, OpCounters],
+        retained: dict[str, int],
+        stored: dict[str, int],
+        final_sum_adds: dict[str, int],
+        median_s: dict[str, float],
+    ):
+        self.base = base
+        self.len_a = len_a
+        self.len_b = len_b
+        self.reps = reps
+        self.counters = counters
+        self.retained = retained
+        self.stored = stored
+        self.final_sum_adds = final_sum_adds
+        self.median_s = median_s
 
 
 def retained_intermediates(algorithm: str, len_b: int) -> int:

@@ -19,6 +19,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
+# verify --random's trials, digit bound and seed: dest -> default.  They
+# default to None on the parser, so --limit mode can reject them when given.
+RANDOM_DEFAULTS = {"trials": 1000, "max_digits": 16, "seed": 0}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--random", action="store_true", help="seeded random trials over bases 2..36"
     )
-    p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--max-digits", type=int, default=16)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=int)
+    p_verify.add_argument("--max-digits", type=int)
+    p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_bench = sub.add_parser("bench", help="compare the two algorithms on one pair")
@@ -120,10 +124,22 @@ def run(argv) -> int:
                         file=sys.stderr,
                     )
                     return EXIT_USAGE
+                trials, max_digits, seed = (
+                    default if getattr(args, dest) is None else getattr(args, dest)
+                    for dest, default in RANDOM_DEFAULTS.items()
+                )
                 report = oracle.random_check(
-                    args.trials, args.max_digits, oracle.all_bases(), args.seed
+                    trials, max_digits, oracle.all_bases(), seed
                 )
             else:
+                for dest in RANDOM_DEFAULTS:
+                    if getattr(args, dest) is not None:
+                        flag = "--" + dest.replace("_", "-")
+                        print(
+                            f"carrymul: {flag} applies to --random mode only",
+                            file=sys.stderr,
+                        )
+                        return EXIT_USAGE
                 report = oracle.exhaustive_check(args.limit, args.base or 10)
             _emit(
                 args, report, trace_io.render_report_json, trace_io.render_report_text

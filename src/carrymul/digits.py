@@ -11,8 +11,6 @@ to 36 so every digit is a single glyph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from carrymul import _kernels_py
 from carrymul.errors import (
     BaseMismatch,
@@ -51,22 +49,65 @@ def check_count(name, value):
         raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Natural:
+class Record:
+    """Base of the package's value types: equality, repr and pickling read
+    the fields from the subclass's ``__slots__``, in order.
+
+    Equal only to an instance of the same class with equal fields; mutable,
+    so unhashable.  Each subclass sets its own fields in its ``__init__``."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuild through __init__: the default slot-state restore assigns
+        # each field, which a FrozenRecord refuses
+        return self.__class__, self._values()
+
+
+class FrozenRecord(Record):
+    """An immutable Record, hashed like the tuple of its fields.  Its
+    ``__init__`` sets each field with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Natural(FrozenRecord):
     """Canonical little-endian digit vector in a fixed base."""
 
-    digits: tuple[int, ...]
-    base: int
+    __slots__ = ("digits", "base")
 
-    def __post_init__(self):
+    def __init__(self, digits: tuple[int, ...], base: int):
         # a list would build, but unhashable and unequal to the same tuple
-        if type(self.digits) is not tuple:
-            raise TypeError(
-                f"digits must be a tuple, not {type(self.digits).__name__}"
-            )
-        check_digits(self.digits, check_base(self.base))
-        if self.digits and self.digits[-1] == 0:
+        if type(digits) is not tuple:
+            raise TypeError(f"digits must be a tuple, not {type(digits).__name__}")
+        check_digits(digits, check_base(base))
+        if digits and digits[-1] == 0:
             raise ValueError("digit vector is not canonical (high-order zero)")
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "base", base)
 
     def __int__(self):
         return to_int(self)
@@ -93,8 +134,8 @@ def check_digits(digits, base):
 def wrap(digits, base) -> Natural:
     """A Natural from digits known to be valid, skipping the checks: kernel
     output from valid Naturals (see the output rule in _kernels_py), or
-    digits the calling entry point has just checked.  The fields are set in
-    __init__'s order so the instance dict stays key-shared and small."""
+    digits the calling entry point has just checked.  The fields go straight
+    into Natural's two slots, so the instance holds no dict."""
     n = object.__new__(Natural)
     object.__setattr__(n, "digits", tuple(digits))
     object.__setattr__(n, "base", base)

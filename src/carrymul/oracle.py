@@ -14,13 +14,14 @@ breaking change to recorded reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from carrymul import kernels
 from carrymul.digits import (
     MAX_BASE,
     MIN_BASE,
+    FrozenRecord,
     Natural,
+    Record,
     check_base,
     check_count,
     int_from_digits,
@@ -58,35 +59,71 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(FrozenRecord):
     """One pair where the routes disagreed (all values rendered)."""
 
-    a: str
-    b: str
-    base: int
-    expected: str
-    incremental: str
-    schoolbook: str
-    oracle: str
+    __slots__ = ("a", "b", "base", "expected", "incremental", "schoolbook", "oracle")
+
+    def __init__(
+        self,
+        a: str,
+        b: str,
+        base: int,
+        expected: str,
+        incremental: str,
+        schoolbook: str,
+        oracle: str,
+    ):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "incremental", incremental)
+        object.__setattr__(self, "schoolbook", schoolbook)
+        object.__setattr__(self, "oracle", oracle)
 
 
-@dataclass(frozen=True)
-class InvariantFailure:
-    a: str
-    b: str
-    base: int
-    step: int
+class InvariantFailure(FrozenRecord):
+    """One pair whose incremental trace broke the invariant at this step."""
+
+    __slots__ = ("a", "b", "base", "step")
+
+    def __init__(self, a: str, b: str, base: int, step: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "step", step)
 
 
-@dataclass
-class VerifyReport:
-    mode: str  # "exhaustive" | "random"
-    params: dict
-    pairs_checked: int = 0
-    mismatches: list[Mismatch] = field(default_factory=list)
-    invariant_failures: list[InvariantFailure] = field(default_factory=list)
-    elapsed_s: float = 0.0
+class VerifyReport(Record):
+    """A verify run's findings; each report gets its own two lists."""
+
+    __slots__ = (
+        "mode",
+        "params",
+        "pairs_checked",
+        "mismatches",
+        "invariant_failures",
+        "elapsed_s",
+    )
+
+    def __init__(
+        self,
+        mode: str,  # "exhaustive" | "random"
+        params: dict,
+        pairs_checked: int = 0,
+        mismatches: list[Mismatch] | None = None,
+        invariant_failures: list[InvariantFailure] | None = None,
+        elapsed_s: float = 0.0,
+    ):
+        self.mode = mode
+        self.params = params
+        self.pairs_checked = pairs_checked
+        self.mismatches = [] if mismatches is None else mismatches
+        self.invariant_failures = (
+            [] if invariant_failures is None else invariant_failures
+        )
+        self.elapsed_s = elapsed_s
 
     def ok(self) -> bool:
         return not self.mismatches and not self.invariant_failures

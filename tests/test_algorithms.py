@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 
@@ -139,7 +138,16 @@ def test_check_invariant_rejects_out_of_range_digit(request, monkeypatch):
         monkeypatch.setattr(kernels, "impl", impl)
         for bad in (99, -1, True, 1.5):
             steps = (s0, StepRecord(s1.k, s1.s, bad, s1.c_next))
-            corrupted = dataclasses.replace(trace, steps=steps)
+            corrupted = Trace(
+                trace.algorithm,
+                trace.base,
+                trace.a,
+                trace.b,
+                steps,
+                trace.rows,
+                trace.result,
+                trace.counters,
+            )
             with pytest.raises(errors.DigitOutOfRange):
                 check_invariant(corrupted)
 

@@ -4,7 +4,6 @@ Python reference exactly, counters and step records included.
 The compiled module comes from the ``compiled_kernels`` fixture, which builds
 the C source, so these checks run wherever a C compiler exists."""
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carrymul import _kernels_py, arith, errors, kernels
-from carrymul.algorithms import check_invariant, incremental_multiply
+from carrymul.algorithms import StepRecord, Trace, check_invariant, incremental_multiply
 from carrymul.digits import Natural, from_int, normalize, parse_natural, to_int
 from carrymul.oracle import all_bases, exhaustive_check, random_check
 from carrymul.trace_io import render_trace_json, render_trace_text
@@ -366,8 +365,18 @@ def test_compiled_kernels_reject_hostile_digits(compiled_kernels, call, digit, e
 
 
 def with_step_digit(trace, r):
-    steps = (dataclasses.replace(trace.steps[0], r=r),) + trace.steps[1:]
-    return dataclasses.replace(trace, steps=steps)
+    first = trace.steps[0]
+    steps = (StepRecord(first.k, first.s, r, first.c_next),) + trace.steps[1:]
+    return Trace(
+        trace.algorithm,
+        trace.base,
+        trace.a,
+        trace.b,
+        steps,
+        trace.rows,
+        trace.result,
+        trace.counters,
+    )
 
 
 FORTY_THREE = parse_natural("43", 10)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from carrymul import kernels
 from carrymul.cli import run
 
@@ -74,6 +76,17 @@ def test_verify_random_rejects_base_flag(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--limit mode only" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--seed", "5"), ("--trials", "7"), ("--max-digits", "0")]
+)
+def test_verify_limit_rejects_random_flags(capsys, flag, value):
+    """--limit mode used to ignore these, even an invalid --max-digits 0."""
+    assert run(["verify", "--limit", "3", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"carrymul: {flag} applies to --random mode only\n"
 
 
 def test_verify_mismatch_exits_2(capsys, monkeypatch):

@@ -229,8 +229,8 @@ class PlainPair:
 
 
 def test_wrap_costs_no_more_memory_than_a_plain_object():
-    """wrap must keep the instance dict key-shared: filling __dict__ by hand
-    gives instances their own dicts and more than doubles their size."""
+    """wrap must fill Natural's two slots and give the instance no dict of
+    its own, which would more than double its size."""
 
     def traced_bytes(make):
         digits = (1, 2)  # shared, so only the instances themselves count

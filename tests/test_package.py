@@ -1,5 +1,6 @@
-"""The package surface: every public name resolves, and the trace path
-loads neither the verify nor the bench layer."""
+"""The package surface: every public name resolves, the trace path loads
+neither the verify nor the bench layer, and no layer loads dataclasses or
+inspect."""
 
 import json
 import os
@@ -15,39 +16,58 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # modules only verify or bench need; a trace must not import them
 VERIFY_AND_BENCH = ("carrymul.oracle", "carrymul.bench", "statistics", "fractions")
+# stdlib modules that cost about half of `import carrymul`; no layer needs them
+HEAVY = ("dataclasses", "inspect")
 
 CHILD = f"""
 import contextlib, io, json, sys
 import carrymul.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = carrymul.cli.run(["trace", "12", "34", "--format", "json"])
-loaded = [m for m in {VERIFY_AND_BENCH!r} if m in sys.modules]
+loaded = [m for m in {VERIFY_AND_BENCH + HEAVY!r} if m in sys.modules]
 submodules = [
     type(getattr(carrymul, m)).__name__ for m in ("oracle", "bench", "trace_io")
 ]
 print(json.dumps({{"code": code, "loaded": loaded, "submodules": submodules}}))
 """
 
+# what the benchmark harness imports
+VERIFY_AND_BENCH_CHILD = f"""
+import json, sys
+import carrymul.oracle, carrymul.bench
+print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
+"""
 
-def test_trace_loads_neither_verify_nor_bench():
-    """Asserts module names, not time: a fresh interpreter that runs one
-    trace must not have imported the oracle, bench or their stdlib needs."""
+
+def run_child(code):
+    """stdout of `code` run in a fresh interpreter that imports from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_trace_loads_neither_verify_nor_bench():
+    """Asserts module names, not time: a fresh interpreter that runs one
+    trace must not have imported the oracle, bench, their stdlib needs,
+    dataclasses or inspect."""
+    result = run_child(CHILD)
     assert result["code"] == 0
     assert result["loaded"] == []
     # the lazily loaded submodules are still attributes of the package
     assert result["submodules"] == ["module"] * 3
+
+
+def test_verify_and_bench_load_neither_dataclasses_nor_inspect():
+    assert run_child(VERIFY_AND_BENCH_CHILD) == []
 
 
 def test_every_public_name_resolves():
