@@ -266,31 +266,26 @@ def check_invariant(a, b, steps, base):
     return flags
 
 
-def _halve(n, base):
-    """(floor(n / 2), n mod 2) by short division from the top digit down."""
-    q = [0] * len(n)
-    r = 0
-    for i in range(len(n) - 1, -1, -1):
-        cur = r * base + n[i]
-        q[i] = cur >> 1
-        r = cur & 1
-    return strip_high_zeros(q), r
-
-
 def oracle_mul(a, b, base):
-    """Ground-truth product via binary double-and-add.
+    """Ground-truth product by digit-serial double-and-add over add alone.
 
-    Uses only add (doubling is add(x, x)) plus a private halving of the
-    multiplier, so it shares no code path with mul_by_digit, divmod_base or
-    either multiplication algorithm.
+    The doublings a * 2**i, one per bit of a digit (at most six, for bases
+    33..36), are built once as add(x, x).  Horner's rule then walks b from
+    its top digit: acc = acc * base + the sum of the doublings that the bits
+    of the digit select, where * base is a one-place shift of acc.  So the
+    oracle never calls mul_by_digit, divmod_base or shift.  It does share
+    add with incremental (carry add) and schoolbook (row sum); the int route
+    of verify is the one that shares nothing with the kernels.
     """
+    doubles = [a]
+    while 1 << len(doubles) < base:
+        doubles.append(add(doubles[-1], doubles[-1], base))
     acc = []
-    addend = list(a)
-    m = list(b)
-    while m:
-        m, bit = _halve(m, base)
-        if bit:
-            acc = add(acc, addend, base)
-        if m:
-            addend = add(addend, addend, base)
+    for d in reversed(b):
+        if acc:
+            acc.insert(0, 0)
+        for x in doubles:
+            if d & 1:
+                acc = add(acc, x, base)
+            d >>= 1
     return acc

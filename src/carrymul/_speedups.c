@@ -104,20 +104,6 @@ shifted_row(const u8 *x, Py_ssize_t lx, int d, Py_ssize_t j, u8 *row, int base)
     return n ? j + n : 0;
 }
 
-/* m = floor(m / 2) in place, from the top digit down; *bit gets m mod 2. */
-static Py_ssize_t
-halve(u8 *m, Py_ssize_t lm, int base, int *bit)
-{
-    int r = 0;
-    for (Py_ssize_t i = lm - 1; i >= 0; i--) {
-        int cur = r * base + m[i];
-        m[i] = (u8)(cur >> 1);
-        r = cur & 1;
-    }
-    *bit = r;
-    return strip(m, lm);
-}
-
 /* -- limbs: g digits in one uint32_t --------------------------------------- */
 
 /* g and base**g for the largest g with base**g <= 2**30, as
@@ -476,32 +462,44 @@ done:
     return res;
 }
 
-/* Binary double-and-add over add_into and halve only, so the oracle shares
-   no code with mul_into or either multiplication kernel. */
+/* Digit-serial double-and-add over add_into alone, as
+   _kernels_py.oracle_mul.  The doublings a * 2**i (at most six) sit in
+   slots of la + 6 digits.  acc for the digits b[k..] sits at out + k, so
+   acc * base is one pointer step down and a zero write.  The oracle never
+   calls mul_into, but it shares add_into with incremental (carry add) and
+   schoolbook (row sum); verify's int route is the one that shares nothing. */
 static PyObject *
 py_oracle_mul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int base, bit;
-    Py_ssize_t la, lm, lacc = 0;
-    u8 *addend = NULL, *m = NULL, *acc = NULL;
+    int base, nd = 1;
+    Py_ssize_t la, lb, lacc = 0, ld[6];
+    u8 *a = NULL, *b = NULL, *dbl = NULL, *out = NULL;
     PyObject *res = NULL;
     if (parse("oracle_mul", nargs, 3, args, &base) < 0
-        || !(m = load(args[1], base, 0, &lm))
-        || !(addend = load(args[0], base, lm + 1, &la))
-        || !(acc = alloc(la + lm + 1)))
+        || !(a = load(args[0], base, 0, &la))
+        || !(b = load(args[1], base, 0, &lb))
+        || !(dbl = alloc(6 * (la + 6))) || !(out = alloc(la + lb)))
         goto done;
-    while (lm) {
-        lm = halve(m, lm, base, &bit);
-        if (bit)
-            lacc = add_into(acc, lacc, addend, la, acc, base);
-        if (lm)
-            la = add_into(addend, la, addend, la, addend, base);
+    memcpy(dbl, a, la);
+    ld[0] = la;
+    for (; 1 << nd < base; nd++) {
+        u8 *x = dbl + (nd - 1) * (la + 6);
+        ld[nd] = add_into(x, ld[nd - 1], x, ld[nd - 1], x + la + 6, base);
     }
-    res = to_list(acc, lacc);
+    for (Py_ssize_t k = lb - 1; k >= 0; k--) {
+        u8 *acc = out + k;
+        if (lacc)
+            acc[0] = 0, lacc++;
+        for (int i = 0, d = b[k]; d; i++, d >>= 1)
+            if (d & 1)
+                lacc = add_into(acc, lacc, dbl + i * (la + 6), ld[i], acc, base);
+    }
+    res = to_list(out, lacc);
 done:
-    PyMem_Free(addend);
-    PyMem_Free(m);
-    PyMem_Free(acc);
+    PyMem_Free(a);
+    PyMem_Free(b);
+    PyMem_Free(dbl);
+    PyMem_Free(out);
     return res;
 }
 

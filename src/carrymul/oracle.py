@@ -1,9 +1,15 @@
 """Algorithm-independent ground truth and the differential check drivers.
 
-The oracle multiplies by binary double-and-add built on digit-vector
-addition alone, so a bug in the multiplication kernels cannot hide inside
-it.  The drivers run both algorithms, the oracle and plain int arithmetic
-over every pair and aggregate any disagreement into a VerifyReport.
+The oracle multiplies by digit-serial double-and-add built on digit-vector
+addition alone.  It builds the doublings a * 2**i once, one per bit of a
+digit, then walks b from its top digit by Horner's rule: acc = acc * base
+plus the doublings that the bits of the digit select, where * base is a
+one-place shift of acc.  It never runs the digit multiply, carry split or
+row shift of the algorithms, but it does share the digit adder with them
+(incremental's carry add, schoolbook's row sum).  The plain int route,
+which every pair also checks, shares no code with the kernels.  The
+drivers run both algorithms, the oracle and int arithmetic over every
+pair and aggregate any disagreement into a VerifyReport.
 
 Reproducibility: random_check draws from SplitMix64, a small documented
 generator, so the same (seed, parameters) produce the same pairs on any
@@ -209,9 +215,8 @@ def random_check(trials: int, max_digits: int, bases, seed: int) -> VerifyReport
     check_count("max_digits", max_digits)
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
-    base_list = sorted(set(bases))
-    for b in base_list:
-        check_base(b)
+    # check every base as given, before the set merges 10.0 into 10
+    base_list = sorted({check_base(b) for b in bases})
     if not base_list:
         raise ValueError("need at least one base")
     started = time.perf_counter()

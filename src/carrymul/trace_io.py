@@ -99,9 +99,16 @@ def parse_trace_document(text: str) -> dict:
     if missing:
         raise ValueError(f"missing fields: {sorted(missing)}")
     if algorithm == INCREMENTAL:
-        for entry in doc["steps"]:
-            if {"k", "s", "r", "c_next"} - entry.keys():
+        steps = doc["steps"]
+        if not isinstance(steps, list):
+            raise ValueError("steps must be a list")
+        for entry in steps:
+            if not isinstance(entry, dict) or {"k", "s", "r", "c_next"} - entry.keys():
                 raise ValueError("malformed step entry")
+    else:
+        rows = doc["rows"]
+        if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
+            raise ValueError("rows must be a list of digit strings")
     return doc
 
 

@@ -264,6 +264,34 @@ def test_counters_follow_the_convention(compiled_kernels, inputs):
         assert backend.schoolbook(a, b, base)[2:] == (mults, sch_adds)
 
 
+@st.composite
+def oracle_operands(draw, base):
+    """A canonical vector of 0..70 digits weighted to 0 and base - 1, so
+    zero digits sit inside it and every bit of a digit gets set."""
+    length = draw(st.integers(0, 70))
+    if not length:
+        return []
+    digit = st.one_of(st.just(0), st.just(base - 1), st.integers(0, base - 1))
+    body = draw(st.lists(digit, min_size=length - 1, max_size=length - 1))
+    return body + [draw(st.one_of(st.just(base - 1), st.integers(1, base - 1)))]
+
+
+@pytest.mark.parametrize("base", range(2, 37))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_oracle_matches_int_arithmetic(compiled_kernels, base, data):
+    """oracle_mul is the int product at the edges of its digit-serial
+    double-and-add, in every base: a power of two fills the doubling table
+    exactly, and bases 33..36 need all six doublings."""
+    a = data.draw(oracle_operands(base), label="a")
+    b = data.draw(oracle_operands(base), label="b")
+    expected = value(a, base) * value(b, base)
+    for backend in (py, compiled_kernels):
+        product = backend.oracle_mul(a, b, base)
+        assert value(product, base) == expected
+        assert_canonical(product, base)
+
+
 def test_trivial_shapes(backend):
     assert backend.incremental([], [], 10) == ([], [], 0, 0)
     assert backend.incremental([], [3], 10) == ([([], 0, [])], [], 0, 0)

@@ -3,6 +3,7 @@ import pytest
 from carrymul import kernels, oracle
 from carrymul.bench import compare_algorithms
 from carrymul.digits import from_int, parse_natural, to_int
+from carrymul.errors import BaseOutOfRange
 from carrymul.oracle import (
     SplitMix64,
     exhaustive_check,
@@ -38,7 +39,8 @@ def test_oracle_against_int_many():
 
 def test_oracle_never_touches_the_tested_kernels(monkeypatch):
     """The pure backend resolves internal calls through module globals, so
-    poisoning mul_by_digit and divmod_base proves the oracle avoids them."""
+    poisoning mul_by_digit, divmod_base and shift (schoolbook's row shift)
+    proves the oracle avoids them."""
     py = kernels.get_backend("python")
 
     def boom(*args):
@@ -46,9 +48,13 @@ def test_oracle_never_touches_the_tested_kernels(monkeypatch):
 
     monkeypatch.setattr(py, "mul_by_digit", boom)
     monkeypatch.setattr(py, "divmod_base", boom)
+    monkeypatch.setattr(py, "shift", boom)
     assert py.oracle_mul([7, 3], [1, 4], 10) == [7, 1, 5, 1]
+    assert py.oracle_mul([5, 3, 4], [0, 9, 0, 3], 36) == [0, 9, 28, 15, 10, 12]
     with pytest.raises(AssertionError):
         py.incremental([7, 3], [1, 4], 10)
+    with pytest.raises(AssertionError):
+        py.schoolbook([7, 3], [1, 4], 10)
 
 
 def test_splitmix64_reference_sequence():
@@ -82,8 +88,6 @@ def test_exhaustive_base2():
 def test_exhaustive_validates_args():
     with pytest.raises(ValueError):
         exhaustive_check(0, 10)
-    from carrymul.errors import BaseOutOfRange
-
     with pytest.raises(BaseOutOfRange):
         exhaustive_check(10, 1)
 
@@ -120,6 +124,21 @@ def test_random_validates_args():
         random_check(4, 0, {10}, seed=1)
     with pytest.raises(ValueError):
         random_check(4, 4, set(), seed=1)
+
+
+@pytest.mark.parametrize(
+    "bases", [[10, 10.0], [10.0, 10], [10, "x"], [10, None]], ids=repr
+)
+def test_random_checks_every_base_before_dedup(bases):
+    """A float equal to a valid base, or a base that cannot be sorted, is
+    rejected whatever its place in the list, not merged away by set()."""
+    with pytest.raises(BaseOutOfRange):
+        random_check(3, 4, bases, 0)
+
+
+def test_random_reads_a_base_generator_once():
+    report = random_check(3, 4, (b for b in [36, 2, 10, 2]), 0)
+    assert report.params["bases"] == [2, 10, 36]
 
 
 DRIVER_CALLS = {

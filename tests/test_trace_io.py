@@ -94,12 +94,22 @@ def test_json_round_trip_byte_identical():
 
 
 def test_parse_rejects_malformed_documents():
-    good = json.loads(render_trace_json(worked_trace()))
-    for breakage in (
-        lambda d: d.update(schema_version="999"),
-        lambda d: d.update(algorithm="vedic"),
-        lambda d: d.pop("result"),
-        lambda d: d["steps"][0].pop("c_next"),
+    """Every malformed document raises ValueError, never AttributeError or
+    TypeError from reading a field of the wrong JSON type."""
+    incremental = json.loads(render_trace_json(worked_trace()))
+    schoolbook = json.loads(render_trace_json(schoolbook_multiply(n("12"), n("999"))))
+    for good, breakage in (
+        (incremental, lambda d: d.update(schema_version="999")),
+        (incremental, lambda d: d.update(algorithm="vedic")),
+        (incremental, lambda d: d.pop("result")),
+        (incremental, lambda d: d["steps"][0].pop("c_next")),
+        (incremental, lambda d: d.update(steps=[1])),
+        (incremental, lambda d: d.update(steps="ab")),
+        (incremental, lambda d: d.update(steps=None)),
+        (incremental, lambda d: d.update(steps={"k": 0})),
+        (schoolbook, lambda d: d.update(rows=None)),
+        (schoolbook, lambda d: d.update(rows="12")),
+        (schoolbook, lambda d: d.update(rows=[12])),
     ):
         doc = json.loads(json.dumps(good))
         breakage(doc)
