@@ -36,37 +36,11 @@ class StepRecord(FrozenRecord):
 
     __slots__ = ("k", "s", "r", "c_next")
 
-    def __init__(self, k: int, s: Natural, r: int, c_next: Natural):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c_next", c_next)
-
 
 class Trace(FrozenRecord):
     """One traced run: steps for incremental only, rows for schoolbook only."""
 
     __slots__ = ("algorithm", "base", "a", "b", "steps", "rows", "result", "counters")
-
-    def __init__(
-        self,
-        algorithm: str,
-        base: int,
-        a: Natural,
-        b: Natural,
-        steps: tuple[StepRecord, ...],
-        rows: tuple[Natural, ...],
-        result: Natural,
-        counters: OpCounters,
-    ):
-        object.__setattr__(self, "algorithm", algorithm)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "counters", counters)
 
 
 def incremental_multiply(a: Natural, b: Natural) -> Trace:
@@ -120,6 +94,9 @@ def check_invariant(trace: Trace) -> list[bool]:
     """
     if trace.algorithm != INCREMENTAL:
         raise WrongAlgorithm(trace.algorithm)
+    # the kernels read a, b and each carry in trace.base (a Trace has a base)
+    for n in (trace.a, trace.b, *[s.c_next for s in trace.steps]):
+        require_same_base(n, trace)
     # r is a bare int a caller may have set; s and c_next are Naturals
     check_digits([s.r for s in trace.steps], trace.base)
     raw_steps = [(s.s.digits, s.r, s.c_next.digits) for s in trace.steps]

@@ -12,7 +12,6 @@ import statistics
 import time
 
 from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK, TRACED
-from carrymul.arith import OpCounters
 from carrymul.digits import Natural, Record, check_count, require_same_base
 
 
@@ -30,28 +29,6 @@ class BenchReport(Record):
         "final_sum_adds",
         "median_s",
     )
-
-    def __init__(
-        self,
-        base: int,
-        len_a: int,
-        len_b: int,
-        reps: int,
-        counters: dict[str, OpCounters],
-        retained: dict[str, int],
-        stored: dict[str, int],
-        final_sum_adds: dict[str, int],
-        median_s: dict[str, float],
-    ):
-        self.base = base
-        self.len_a = len_a
-        self.len_b = len_b
-        self.reps = reps
-        self.counters = counters
-        self.retained = retained
-        self.stored = stored
-        self.final_sum_adds = final_sum_adds
-        self.median_s = median_s
 
 
 def retained_intermediates(algorithm: str, len_b: int) -> int:

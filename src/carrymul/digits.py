@@ -50,13 +50,29 @@ def check_count(name, value):
 
 
 class Record:
-    """Base of the package's value types: equality, repr and pickling read
-    the fields from the subclass's ``__slots__``, in order.
+    """Base of the package's value types: construction, equality, repr and
+    pickling read the fields from the subclass's ``__slots__``, in order.
 
     Equal only to an instance of the same class with equal fields; mutable,
-    so unhashable.  Each subclass sets its own fields in its ``__init__``."""
+    so unhashable.  A subclass declares its fields once, in ``__slots__``,
+    and writes an ``__init__`` only to check its input or give defaults."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        """Bind the fields in ``__slots__`` order, by position and then by
+        name, each with ``object.__setattr__`` so a FrozenRecord builds too."""
+        names = self.__slots__
+        if len(values) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields")
+        for name in names[len(values):]:
+            if name not in named:
+                raise TypeError(f"{type(self).__name__} missing field {name!r}")
+            values += (named.pop(name),)
+        if named:  # a field given twice, or no field at all
+            raise TypeError(f"{type(self).__name__}: repeated or unknown {list(named)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _values(self):
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -79,8 +95,8 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """An immutable Record, hashed like the tuple of its fields.  Its
-    ``__init__`` sets each field with ``object.__setattr__``."""
+    """An immutable Record, hashed like the tuple of its fields.  Fields are
+    set only while building, through ``object.__setattr__``."""
 
     __slots__ = ()
 

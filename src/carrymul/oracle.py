@@ -70,35 +70,11 @@ class Mismatch(FrozenRecord):
 
     __slots__ = ("a", "b", "base", "expected", "incremental", "schoolbook", "oracle")
 
-    def __init__(
-        self,
-        a: str,
-        b: str,
-        base: int,
-        expected: str,
-        incremental: str,
-        schoolbook: str,
-        oracle: str,
-    ):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "incremental", incremental)
-        object.__setattr__(self, "schoolbook", schoolbook)
-        object.__setattr__(self, "oracle", oracle)
-
 
 class InvariantFailure(FrozenRecord):
     """One pair whose incremental trace broke the invariant at this step."""
 
     __slots__ = ("a", "b", "base", "step")
-
-    def __init__(self, a: str, b: str, base: int, step: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "step", step)
 
 
 class VerifyReport(Record):

@@ -83,32 +83,39 @@ def render_trace_json(trace: Trace) -> str:
     return dumps_canonical(trace_to_document(trace))
 
 
+# field -> its exact JSON type; type() and not isinstance, so true is no int
+_TRACE_FIELDS = {"base": int, "a": str, "b": str, "result": str, "counters": dict}
+_COUNTER_FIELDS = {"digit_mults": int, "digit_adds": int}
+_STEP_FIELDS = {"k": int, "s": str, "r": str, "c_next": str}
+
+
+def _require_fields(obj, fields: dict, what: str):
+    """Raise ValueError unless obj is a JSON object holding every field with
+    its JSON type."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be a JSON object")
+    for name, kind in fields.items():
+        if type(obj.get(name)) is not kind:
+            raise ValueError(f"{what} needs a {kind.__name__} {name!r}")
+
+
 def parse_trace_document(text: str) -> dict:
     """Load and validate a serialized trace document."""
     doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("trace document must be a JSON object")
+    _require_fields(doc, {}, "trace document")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     algorithm = doc.get("algorithm")
     if algorithm not in (INCREMENTAL, SCHOOLBOOK):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    required = {"a", "b", "base", "result", "counters"}
-    required.add("steps" if algorithm == INCREMENTAL else "rows")
-    missing = required - doc.keys()
-    if missing:
-        raise ValueError(f"missing fields: {sorted(missing)}")
+    listed = "steps" if algorithm == INCREMENTAL else "rows"
+    _require_fields(doc, {**_TRACE_FIELDS, listed: list}, "trace document")
+    _require_fields(doc["counters"], _COUNTER_FIELDS, "counters")
     if algorithm == INCREMENTAL:
-        steps = doc["steps"]
-        if not isinstance(steps, list):
-            raise ValueError("steps must be a list")
-        for entry in steps:
-            if not isinstance(entry, dict) or {"k", "s", "r", "c_next"} - entry.keys():
-                raise ValueError("malformed step entry")
-    else:
-        rows = doc["rows"]
-        if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
-            raise ValueError("rows must be a list of digit strings")
+        for entry in doc["steps"]:
+            _require_fields(entry, _STEP_FIELDS, "step")
+    elif not all(type(row) is str for row in doc["rows"]):
+        raise ValueError("rows must be digit strings")
     return doc
 
 

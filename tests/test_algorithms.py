@@ -152,6 +152,31 @@ def test_check_invariant_rejects_out_of_range_digit(request, monkeypatch):
                 check_invariant(corrupted)
 
 
+def test_check_invariant_rejects_values_outside_the_trace_base(request, monkeypatch):
+    """a, b or a carry in another base fails alike on both backends: Python
+    used to return flags where C raised a bare ValueError."""
+    trace = incremental_multiply(n("12"), n("34"))
+    s0, s1 = trace.steps
+
+    def traced(base, a, b, steps):
+        return Trace(INCREMENTAL, base, a, b, steps, (), trace.result, trace.counters)
+
+    broken = (
+        traced(7, n("9"), n("9"), ()),
+        traced(10, trace.a, n("34", 16), trace.steps),
+        traced(10, trace.a, trace.b, (s0, StepRecord(s1.k, s1.s, s1.r, n("f", 16)))),
+    )
+    for backend in ("python", "compiled"):
+        if backend == "python":
+            impl = _kernels_py
+        else:
+            impl = request.getfixturevalue("compiled_kernels")
+        monkeypatch.setattr(kernels, "impl", impl)
+        for corrupted in broken:
+            with pytest.raises(errors.BaseMismatch):
+                check_invariant(corrupted)
+
+
 def test_multiply_dispatch():
     assert str(multiply(n("1234"), n("567"), INCREMENTAL)) == "699678"
     assert str(multiply(n("1234"), n("567"), SCHOOLBOOK)) == "699678"

@@ -110,6 +110,21 @@ def test_parse_rejects_malformed_documents():
         (schoolbook, lambda d: d.update(rows=None)),
         (schoolbook, lambda d: d.update(rows="12")),
         (schoolbook, lambda d: d.update(rows=[12])),
+        (incremental, lambda d: d.update(base="ten")),
+        (incremental, lambda d: d.update(base=True)),
+        (incremental, lambda d: d.update(base=10.0)),
+        (incremental, lambda d: d.update(a=1234)),
+        (schoolbook, lambda d: d.update(b=None)),
+        (incremental, lambda d: d.update(result=5)),
+        (incremental, lambda d: d.update(counters=[])),
+        (incremental, lambda d: d["counters"].pop("digit_adds")),
+        (schoolbook, lambda d: d["counters"].update(digit_mults="6")),
+        (incremental, lambda d: d["counters"].update(digit_adds=False)),
+        (incremental, lambda d: d["steps"][0].update(k=None)),
+        (incremental, lambda d: d["steps"][0].update(k="0")),
+        (incremental, lambda d: d["steps"][1].update(s=2)),
+        (incremental, lambda d: d["steps"][1].update(r=9)),
+        (incremental, lambda d: d["steps"][2].update(c_next=[6])),
     ):
         doc = json.loads(json.dumps(good))
         breakage(doc)

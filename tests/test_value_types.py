@@ -107,6 +107,26 @@ def test_missing_or_extra_argument_raises_type_error(cls):
             cls(*values[: required - 1])
 
 
+@TYPES
+def test_field_given_twice_or_unknown_raises_type_error(cls):
+    names, values, _ = CASES[cls]
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(**dict(zip(names, values)), no_such_field=1)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    (StepRecord, Trace, Mismatch, InvariantFailure, BenchReport),
+    ids=lambda cls: cls.__name__,
+)
+def test_plain_value_types_declare_fields_only_in_slots(cls):
+    """Record.__init__ binds the fields; only Natural (checks), OpCounters
+    and VerifyReport (defaults) write their own."""
+    assert "__init__" not in cls.__dict__
+
+
 def test_defaults():
     assert fields(OpCounters(), ("digit_mults", "digit_adds")) == (0, 0)
     first = VerifyReport("random", {})
