@@ -52,12 +52,12 @@ _LAZY = {
     "exhaustive_check": "oracle",
     "oracle_multiply": "oracle",
     "random_check": "oracle",
+    "render_report_json": "oracle",
+    "render_report_text": "oracle",
     "bench": "bench",
     "BenchReport": "bench",
     "compare_algorithms": "bench",
     "trace_io": "trace_io",
-    "render_report_json": "trace_io",
-    "render_report_text": "trace_io",
     "render_trace_json": "trace_io",
     "render_trace_text": "trace_io",
 }

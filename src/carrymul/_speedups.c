@@ -218,25 +218,6 @@ to_list(const u8 *x, Py_ssize_t n)
     return out;
 }
 
-/* A tuple of n new references, which it takes over: NULL, with the error
-   set, if any of them is NULL or the tuple cannot be made. */
-static PyObject *
-pack(Py_ssize_t n, PyObject *const *items)
-{
-    PyObject *t = PyTuple_New(n);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (t != NULL && items[i] != NULL) {
-            PyTuple_SET_ITEM(t, i, items[i]);
-            continue;
-        }
-        Py_CLEAR(t);
-        Py_XDECREF(items[i]);
-    }
-    return t;
-}
-
-#define SIZE(n) PyLong_FromSsize_t(n)
-
 /* Check the argument count and read the base, which is always last. */
 static int
 parse(const char *name, Py_ssize_t nargs, Py_ssize_t want,
@@ -288,14 +269,15 @@ py_incremental(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             s[0] = 0;
         lc = ls ? ls - 1 : 0;
         PyObject *sum = to_list(s, ls);
-        PyObject *step = pack(3, (PyObject *[]){
-            sum, PyLong_FromLong(s[0]), sum ? PyList_GetSlice(sum, 1, ls) : NULL});
+        /* "N" takes over each reference, and drops them all on failure */
+        PyObject *step = Py_BuildValue(
+            "(NiN)", sum, s[0], sum ? PyList_GetSlice(sum, 1, ls) : NULL);
         if (step == NULL)
             goto done;
         PyList_SET_ITEM(steps, k, step);
     }
-    res = pack(4, (PyObject *[]){Py_NewRef(steps), to_list(out, strip(out, lb + lc)),
-                                 SIZE(la * lb), SIZE(adds)});
+    res = Py_BuildValue("(ONnn)", steps, to_list(out, strip(out, lb + lc)),
+                        la * lb, adds);
 done:
     Py_XDECREF(steps);
     PyMem_Free(a);
@@ -387,8 +369,7 @@ py_schoolbook(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (j)  /* row 0 is copied into the empty sum: no addition */
             adds += lacc;
     }
-    res = pack(4, (PyObject *[]){Py_NewRef(rows), to_list(acc, lacc),
-                                 SIZE(la * lb), SIZE(adds)});
+    res = Py_BuildValue("(ONnn)", rows, to_list(acc, lacc), la * lb, adds);
 done:
     Py_XDECREF(rows);
     PyMem_Free(a);

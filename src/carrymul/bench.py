@@ -1,4 +1,5 @@
-"""Structured comparison of the two algorithms on one input pair.
+"""Structured comparison of the two algorithms on one input pair, and its
+text and canonical-JSON renderings.
 
 Counters and the retained-intermediate metric are deterministic functions
 of the input shape; wall-clock medians are informational only and never
@@ -13,6 +14,7 @@ import time
 
 from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK, TRACED
 from carrymul.digits import Natural, Record, check_count, require_same_base
+from carrymul.trace_io import SCHEMA_VERSION, dumps_canonical
 
 
 class BenchReport(Record):
@@ -83,3 +85,33 @@ def compare_algorithms(a: Natural, b: Natural, reps: int = 1) -> BenchReport:
         final_sum_adds={INCREMENTAL: 0, SCHOOLBOOK: school_final},
         median_s=medians,
     )
+
+
+def bench_to_document(report: BenchReport) -> dict:
+    counters = {alg: c._asdict() for alg, c in report.counters.items()}
+    return {"schema_version": SCHEMA_VERSION, **report._asdict(), "counters": counters}
+
+
+def render_bench_json(report: BenchReport) -> str:
+    return dumps_canonical(bench_to_document(report))
+
+
+def render_bench_text(report: BenchReport) -> str:
+    """One row per algorithm: its counters, each right-aligned under its
+    name, then retained, stored and the median time."""
+    counters = {alg: report.counters[alg]._asdict() for alg in TRACED}
+    lines = [
+        f"operands: {report.len_a} digits × {report.len_b} digits, base {report.base}",
+        f"reps: {report.reps}",
+        f"{'algorithm':<12} {' '.join(counters[INCREMENTAL])} retained stored "
+        f"{'median_s':>12}",
+    ]
+    for alg, counts in counters.items():
+        cells = " ".join(f"{value:>{len(name)}}" for name, value in counts.items())
+        lines.append(
+            f"{alg:<12} {cells} {report.retained[alg]:>8} {report.stored[alg]:>6} "
+            f"{report.median_s[alg]:>12.3e}"
+        )
+    adds = ", ".join(f"{alg} {report.final_sum_adds[alg]}" for alg in TRACED)
+    lines.append(f"final-phase adds: {adds}")
+    return "\n".join(lines)

@@ -141,9 +141,7 @@ def run(argv) -> int:
                         )
                         return EXIT_USAGE
                 report = oracle.exhaustive_check(args.limit, args.base or 10)
-            _emit(
-                args, report, trace_io.render_report_json, trace_io.render_report_text
-            )
+            _emit(args, report, oracle.render_report_json, oracle.render_report_text)
             return EXIT_OK if report.ok() else EXIT_MISMATCH
 
         if args.subcommand == "bench":
@@ -151,7 +149,7 @@ def run(argv) -> int:
 
             a, b = _operands(args)
             report = bench.compare_algorithms(a, b, args.reps)
-            _emit(args, report, trace_io.render_bench_json, trace_io.render_bench_text)
+            _emit(args, report, bench.render_bench_json, bench.render_bench_text)
             return EXIT_OK
     except (Error, ValueError) as exc:
         print(f"carrymul: {exc}", file=sys.stderr)

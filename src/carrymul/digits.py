@@ -50,8 +50,9 @@ def check_count(name, value):
 
 
 class Record:
-    """Base of the package's value types: construction, equality, repr and
-    pickling read the fields from the subclass's ``__slots__``, in order.
+    """Base of the package's value types: construction, equality, repr,
+    pickling and ``_asdict`` read the fields from the subclass's
+    ``__slots__``, in order.
 
     Equal only to an instance of the same class with equal fields; mutable,
     so unhashable.  A subclass declares its fields once, in ``__slots__``,
@@ -76,6 +77,10 @@ class Record:
 
     def _values(self):
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _asdict(self):
+        """{field: value} in ``__slots__`` order, as a namedtuple's."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -9,7 +9,8 @@ row shift of the algorithms, but it does share the digit adder with them
 (incremental's carry add, schoolbook's row sum).  The plain int route,
 which every pair also checks, shares no code with the kernels.  The
 drivers run both algorithms, the oracle and int arithmetic over every
-pair and aggregate any disagreement into a VerifyReport.
+pair and aggregate any disagreement into a VerifyReport, which renders here
+as text and as canonical JSON (see ``carrymul.trace_io``).
 
 Reproducibility: random_check draws from SplitMix64, a small documented
 generator, so the same (seed, parameters) produce the same pairs on any
@@ -36,6 +37,7 @@ from carrymul.digits import (
     require_same_base,
     wrap,
 )
+from carrymul.trace_io import SCHEMA_VERSION, dumps_canonical
 
 _MASK64 = (1 << 64) - 1
 
@@ -109,6 +111,42 @@ class VerifyReport(Record):
 
     def ok(self) -> bool:
         return not self.mismatches and not self.invariant_failures
+
+
+def report_to_document(report: VerifyReport) -> dict:
+    """Canonical document; elapsed time is informational and omitted so the
+    serialization is byte-reproducible from the seed."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "mode": report.mode,
+        "params": dict(report.params),
+        "pairs_checked": report.pairs_checked,
+        "mismatches": [m._asdict() for m in report.mismatches],
+        "invariant_failures": [f._asdict() for f in report.invariant_failures],
+    }
+
+
+def render_report_json(report: VerifyReport) -> str:
+    return dumps_canonical(report_to_document(report))
+
+
+def render_report_text(report: VerifyReport) -> str:
+    lines = [f"mode: {report.mode}"]
+    for key, value in report.params.items():
+        if key == "bases":
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key}: {value}")
+    lines.append(f"pairs checked: {report.pairs_checked}")
+    for title, items in (
+        ("mismatches", report.mismatches),
+        ("invariant failures", report.invariant_failures),
+    ):
+        lines.append(f"{title}: {len(items)}")
+        for item in items:
+            lines.append("  " + " ".join(f"{k}={v}" for k, v in item._asdict().items()))
+    lines.append(f"elapsed: {report.elapsed_s:.3f}s")
+    lines.append(f"status: {'OK' if report.ok() else 'FAIL'}")
+    return "\n".join(lines)
 
 
 def oracle_multiply(a: Natural, b: Natural) -> Natural:

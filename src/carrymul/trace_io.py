@@ -1,22 +1,23 @@
-"""Text and canonical-JSON renderings of traces, verify reports and benches.
+"""Text and canonical-JSON renderings of traces, and the trace reader.
 
 Canonical JSON means sorted keys, no insignificant whitespace and a single
 trailing newline, so a parse/re-serialize round trip is byte-identical and
 golden files stay stable.  Every operand, sum, carry and result serializes
 as a digit string in the operand base; the base itself, step indices and
 counters are plain integers.  SCHEMA_VERSION bumps on any field change.
+The verify and bench documents are rendered next to their report types,
+in ``carrymul.oracle`` and ``carrymul.bench``, with the two helpers here.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from itertools import filterfalse
 
 from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK, Trace
-from carrymul.digits import ALPHABET
-
-# VerifyReport (carrymul.oracle) and BenchReport (carrymul.bench) appear in
-# annotations only, which are never evaluated, so rendering a trace loads
-# neither the verify nor the bench layer.
+from carrymul.arith import OpCounters
+from carrymul.digits import ALPHABET, MAX_BASE, MIN_BASE
 
 SCHEMA_VERSION = "1"
 
@@ -64,10 +65,7 @@ def trace_to_document(trace: Trace) -> dict:
         "a": str(trace.a),
         "b": str(trace.b),
         "result": str(trace.result),
-        "counters": {
-            "digit_mults": trace.counters.digit_mults,
-            "digit_adds": trace.counters.digit_adds,
-        },
+        "counters": trace.counters._asdict(),
     }
     if trace.algorithm == INCREMENTAL:
         doc["steps"] = [
@@ -85,7 +83,7 @@ def render_trace_json(trace: Trace) -> str:
 
 # field -> its exact JSON type; type() and not isinstance, so true is no int
 _TRACE_FIELDS = {"base": int, "a": str, "b": str, "result": str, "counters": dict}
-_COUNTER_FIELDS = {"digit_mults": int, "digit_adds": int}
+_COUNTER_FIELDS = dict.fromkeys(OpCounters.__slots__, int)
 _STEP_FIELDS = {"k": int, "s": str, "r": str, "c_next": str}
 
 
@@ -100,7 +98,10 @@ def _require_fields(obj, fields: dict, what: str):
 
 
 def parse_trace_document(text: str) -> dict:
-    """Load and validate a serialized trace document."""
+    """Load and validate a serialized trace document: every field has its
+    JSON type, the base is supported, the counters are non-negative, step k
+    sits at index k and emits one glyph, and every digit string is one that
+    render_natural writes (lowercase, no leading zero, "0" for zero)."""
     doc = json.loads(text)
     _require_fields(doc, {}, "trace document")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -111,111 +112,23 @@ def parse_trace_document(text: str) -> dict:
     listed = "steps" if algorithm == INCREMENTAL else "rows"
     _require_fields(doc, {**_TRACE_FIELDS, listed: list}, "trace document")
     _require_fields(doc["counters"], _COUNTER_FIELDS, "counters")
+    base = doc["base"]
+    if not MIN_BASE <= base <= MAX_BASE:
+        raise ValueError(f"base must be in {MIN_BASE}..{MAX_BASE}, got {base}")
+    if any(doc["counters"][name] < 0 for name in _COUNTER_FIELDS):
+        raise ValueError("counters must be >= 0")
+    numbers = [doc["a"], doc["b"], doc["result"]]
     if algorithm == INCREMENTAL:
-        for entry in doc["steps"]:
-            _require_fields(entry, _STEP_FIELDS, "step")
-    elif not all(type(row) is str for row in doc["rows"]):
+        for k, step in enumerate(doc["steps"]):
+            _require_fields(step, _STEP_FIELDS, "step")
+            if step["k"] != k or len(step["r"]) != 1:
+                raise ValueError(f"step {k} needs k={k} and a one-glyph r")
+            numbers += (step["s"], step["r"], step["c_next"])
+    elif all(type(row) is str for row in doc["rows"]):
+        numbers += doc["rows"]
+    else:
         raise ValueError("rows must be digit strings")
+    canonical = re.compile(f"0|[{ALPHABET[1:base]}][{ALPHABET[:base]}]*").fullmatch
+    for bad in filterfalse(canonical, numbers):
+        raise ValueError(f"{bad!r} is not a canonical base-{base} number")
     return doc
-
-
-# -- verify reports ----------------------------------------------------
-
-
-def report_to_document(report: VerifyReport) -> dict:
-    """Canonical document; elapsed time is informational and omitted so the
-    serialization is byte-reproducible from the seed."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "mode": report.mode,
-        "params": dict(report.params),
-        "pairs_checked": report.pairs_checked,
-        "mismatches": [
-            {
-                "a": m.a,
-                "b": m.b,
-                "base": m.base,
-                "expected": m.expected,
-                "incremental": m.incremental,
-                "schoolbook": m.schoolbook,
-                "oracle": m.oracle,
-            }
-            for m in report.mismatches
-        ],
-        "invariant_failures": [
-            {"a": f.a, "b": f.b, "base": f.base, "step": f.step}
-            for f in report.invariant_failures
-        ],
-    }
-
-
-def render_report_json(report: VerifyReport) -> str:
-    return dumps_canonical(report_to_document(report))
-
-
-def render_report_text(report: VerifyReport) -> str:
-    lines = [f"mode: {report.mode}"]
-    for key, value in report.params.items():
-        if key == "bases":
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key}: {value}")
-    lines.append(f"pairs checked: {report.pairs_checked}")
-    lines.append(f"mismatches: {len(report.mismatches)}")
-    for m in report.mismatches:
-        lines.append(
-            f"  a={m.a} b={m.b} base={m.base} expected={m.expected} "
-            f"incremental={m.incremental} schoolbook={m.schoolbook} oracle={m.oracle}"
-        )
-    lines.append(f"invariant failures: {len(report.invariant_failures)}")
-    for f in report.invariant_failures:
-        lines.append(f"  a={f.a} b={f.b} base={f.base} step={f.step}")
-    lines.append(f"elapsed: {report.elapsed_s:.3f}s")
-    lines.append(f"status: {'OK' if report.ok() else 'FAIL'}")
-    return "\n".join(lines)
-
-
-# -- bench reports -----------------------------------------------------
-
-
-def bench_to_document(report: BenchReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "base": report.base,
-        "len_a": report.len_a,
-        "len_b": report.len_b,
-        "reps": report.reps,
-        "counters": {
-            alg: {"digit_mults": c.digit_mults, "digit_adds": c.digit_adds}
-            for alg, c in report.counters.items()
-        },
-        "retained": dict(report.retained),
-        "stored": dict(report.stored),
-        "final_sum_adds": dict(report.final_sum_adds),
-        "median_s": dict(report.median_s),
-    }
-
-
-def render_bench_json(report: BenchReport) -> str:
-    return dumps_canonical(bench_to_document(report))
-
-
-def render_bench_text(report: BenchReport) -> str:
-    lines = [
-        f"operands: {report.len_a} digits × {report.len_b} digits, base {report.base}",
-        f"reps: {report.reps}",
-        f"{'algorithm':<12} {'digit_mults':>11} {'digit_adds':>10} "
-        f"{'retained':>8} {'stored':>6} {'median_s':>12}",
-    ]
-    for alg in (INCREMENTAL, SCHOOLBOOK):
-        c = report.counters[alg]
-        lines.append(
-            f"{alg:<12} {c.digit_mults:>11} {c.digit_adds:>10} "
-            f"{report.retained[alg]:>8} {report.stored[alg]:>6} "
-            f"{report.median_s[alg]:>12.3e}"
-        )
-    lines.append(
-        "final-phase adds: incremental "
-        f"{report.final_sum_adds[INCREMENTAL]}, schoolbook "
-        f"{report.final_sum_adds[SCHOOLBOOK]}"
-    )
-    return "\n".join(lines)

@@ -24,13 +24,9 @@ from carrymul.oracle import (
     exhaustive_check,
     oracle_multiply,
     random_check,
-)
-from carrymul.trace_io import (
-    dumps_canonical,
-    parse_trace_document,
     render_report_json,
-    render_trace_json,
 )
+from carrymul.trace_io import dumps_canonical, parse_trace_document, render_trace_json
 
 GOLDEN = Path(__file__).parent / "golden"
 

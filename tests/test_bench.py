@@ -1,9 +1,13 @@
 import json
 
 from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK
-from carrymul.bench import compare_algorithms, retained_intermediates
+from carrymul.bench import (
+    compare_algorithms,
+    render_bench_json,
+    render_bench_text,
+    retained_intermediates,
+)
 from carrymul.digits import from_int, parse_natural
-from carrymul.trace_io import render_bench_json, render_bench_text
 
 
 def n(text, base=10):

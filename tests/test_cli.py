@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from carrymul import kernels
+from carrymul.arith import OpCounters
+from carrymul.bench import BenchReport
 from carrymul.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,6 +123,13 @@ def test_bench_json(capsys):
     assert run(["bench", "1234", "567", "--reps", "2", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["counters"]["schoolbook"]["digit_mults"] == 12
+
+
+def test_bench_json_keys_are_the_report_fields(capsys):
+    assert run(["bench", "1234", "567", "--reps", "2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"schema_version", *BenchReport.__slots__}
+    assert set(doc["counters"]["incremental"]) == set(OpCounters.__slots__)
 
 
 def test_usage_error_exit_1(capsys):

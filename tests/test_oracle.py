@@ -5,12 +5,16 @@ from carrymul.bench import compare_algorithms
 from carrymul.digits import from_int, parse_natural, to_int
 from carrymul.errors import BaseOutOfRange
 from carrymul.oracle import (
+    InvariantFailure,
+    Mismatch,
     SplitMix64,
+    VerifyReport,
     exhaustive_check,
     oracle_multiply,
     random_check,
+    render_report_json,
+    render_report_text,
 )
-from carrymul.trace_io import render_report_json
 
 
 def n(text, base=10):
@@ -108,6 +112,46 @@ def test_random_same_seed_same_report():
     r1 = random_check(50, 8, {2, 10, 36}, seed=5)
     r2 = random_check(50, 8, {2, 10, 36}, seed=5)
     assert render_report_json(r1) == render_report_json(r2)
+
+
+def test_failing_report_renders_exactly():
+    """Every field of every mismatch and invariant failure, in both formats;
+    the text keeps elapsed, the JSON leaves it out."""
+    report = VerifyReport(
+        mode="random",
+        params={"trials": 3, "max_digits": 2, "bases": [10, 36], "seed": 7},
+        pairs_checked=3,
+        mismatches=[
+            Mismatch("12", "34", 10, "408", "418", "408", "408"),
+            Mismatch("zz", "a", 36, "9zq", "9zq", "9zr", "9zq"),
+        ],
+        invariant_failures=[InvariantFailure("12", "34", 10, 1)],
+        elapsed_s=0.25,
+    )
+    assert render_report_json(report) == (
+        '{"invariant_failures":[{"a":"12","b":"34","base":10,"step":1}],'
+        '"mismatches":[{"a":"12","b":"34","base":10,"expected":"408",'
+        '"incremental":"418","oracle":"408","schoolbook":"408"},'
+        '{"a":"zz","b":"a","base":36,"expected":"9zq","incremental":"9zq",'
+        '"oracle":"9zq","schoolbook":"9zr"}],"mode":"random","pairs_checked":3,'
+        '"params":{"bases":[10,36],"max_digits":2,"seed":7,"trials":3},'
+        '"schema_version":"1"}\n'
+    )
+    assert render_report_text(report) == (
+        "mode: random\n"
+        "trials: 3\n"
+        "max_digits: 2\n"
+        "bases: 10,36\n"
+        "seed: 7\n"
+        "pairs checked: 3\n"
+        "mismatches: 2\n"
+        "  a=12 b=34 base=10 expected=408 incremental=418 schoolbook=408 oracle=408\n"
+        "  a=zz b=a base=36 expected=9zq incremental=9zq schoolbook=9zr oracle=9zq\n"
+        "invariant failures: 1\n"
+        "  a=12 b=34 base=10 step=1\n"
+        "elapsed: 0.250s\n"
+        "status: FAIL"
+    )
 
 
 def test_random_different_seed_different_draws():

@@ -1,11 +1,15 @@
-"""The package surface: every public name resolves, the trace path loads
-neither the verify nor the bench layer, and no layer loads dataclasses or
-inspect."""
+"""The package surface: every public name resolves, every annotation
+resolves, the trace path loads neither the verify nor the bench layer, and
+no layer loads dataclasses or inspect."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -79,6 +83,31 @@ def test_every_public_name_resolves():
     assert carrymul.random_check is carrymul.oracle.random_check
     assert carrymul.BenchReport is carrymul.bench.BenchReport
     assert carrymul.render_trace_json is carrymul.trace_io.render_trace_json
+
+
+def test_report_renderers_load_from_the_oracle():
+    assert carrymul.render_report_json is carrymul.oracle.render_report_json
+    assert carrymul.render_report_text is carrymul.oracle.render_report_text
+
+
+def test_every_annotation_resolves():
+    """typing.get_type_hints evaluates each string annotation in its module,
+    so a name that a module annotates with but never imports fails here."""
+    modules = [carrymul] + [
+        importlib.import_module(f"carrymul.{info.name}")
+        for info in pkgutil.iter_modules(carrymul.__path__)
+    ]
+    checked = 0
+    for module in modules:
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).values() if isinstance(value, type) else [value]
+            for func in members:
+                if isinstance(func, types.FunctionType):
+                    typing.get_type_hints(func)
+                    checked += 1
+    assert checked > 50
 
 
 def test_dir_lists_every_public_name():

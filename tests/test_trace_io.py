@@ -5,12 +5,15 @@ import pytest
 
 from carrymul.algorithms import incremental_multiply, schoolbook_multiply
 from carrymul.digits import parse_natural
-from carrymul.oracle import exhaustive_check, random_check
+from carrymul.oracle import (
+    exhaustive_check,
+    random_check,
+    render_report_json,
+    render_report_text,
+)
 from carrymul.trace_io import (
     dumps_canonical,
     parse_trace_document,
-    render_report_json,
-    render_report_text,
     render_trace_json,
     render_trace_text,
     trace_to_document,
@@ -125,6 +128,25 @@ def test_parse_rejects_malformed_documents():
         (incremental, lambda d: d["steps"][1].update(s=2)),
         (incremental, lambda d: d["steps"][1].update(r=9)),
         (incremental, lambda d: d["steps"][2].update(c_next=[6])),
+        (incremental, lambda d: d.update(base=99)),
+        (incremental, lambda d: d.update(base=1)),
+        (schoolbook, lambda d: d.update(base=0)),
+        (incremental, lambda d: d.update(base=37)),
+        (incremental, lambda d: d["counters"].update(digit_mults=-1)),
+        (incremental, lambda d: d.update(result="zz")),
+        (incremental, lambda d: d.update(result="0123")),
+        (incremental, lambda d: d.update(result="699678 ")),
+        (incremental, lambda d: d.update(a="")),
+        (schoolbook, lambda d: d.update(b="00")),
+        (incremental, lambda d: d.update(a="12a4")),
+        (incremental, lambda d: d["steps"][0].update(r="99")),
+        (incremental, lambda d: d["steps"][0].update(r="")),
+        (incremental, lambda d: d["steps"][0].update(k=-5)),
+        (incremental, lambda d: d["steps"][1].update(k=0)),
+        (incremental, lambda d: d["steps"][1].update(s="+1")),
+        (incremental, lambda d: d["steps"][2].update(c_next=" 1")),
+        (schoolbook, lambda d: d["rows"].__setitem__(1, "0120")),
+        (schoolbook, lambda d: d["rows"].__setitem__(0, "")),
     ):
         doc = json.loads(json.dumps(good))
         breakage(doc)
@@ -132,6 +154,16 @@ def test_parse_rejects_malformed_documents():
             parse_trace_document(json.dumps(doc))
     with pytest.raises(ValueError):
         parse_trace_document("[1,2,3]")
+
+
+@pytest.mark.parametrize("base", range(2, 37))
+def test_every_base_round_trips(base):
+    """The canonical-number check accepts every glyph of every base."""
+    top = "0123456789abcdefghijklmnopqrstuvwxyz"[base - 1]
+    a, b = n(top * 3 + "1", base), n("1" + top * 2, base)
+    for trace in (incremental_multiply(a, b), schoolbook_multiply(a, b)):
+        text = render_trace_json(trace)
+        assert dumps_canonical(parse_trace_document(text)) == text
 
 
 def test_text_and_json_share_numeric_strings():
