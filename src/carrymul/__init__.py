@@ -19,6 +19,7 @@ from carrymul.algorithms import (
     ALGORITHMS,
     INCREMENTAL,
     SCHOOLBOOK,
+    OpCounters,
     StepRecord,
     Trace,
     check_invariant,
@@ -26,19 +27,13 @@ from carrymul.algorithms import (
     multiply,
     schoolbook_multiply,
 )
-from carrymul.arith import OpCounters, add, divmod_base, mul_by_digit, shift
 from carrymul.digits import (
-    EQUAL,
-    GREATER,
-    LESS,
     MAX_BASE,
     MIN_BASE,
     Natural,
-    compare,
     from_int,
     parse_natural,
     render_natural,
-    normalize,
     to_int,
 )
 from carrymul.kernels import BACKEND, available_backends
@@ -83,10 +78,7 @@ __all__ = [
     "ALGORITHMS",
     "BACKEND",
     "BenchReport",
-    "EQUAL",
-    "GREATER",
     "INCREMENTAL",
-    "LESS",
     "MAX_BASE",
     "MIN_BASE",
     "Natural",
@@ -96,19 +88,14 @@ __all__ = [
     "StepRecord",
     "Trace",
     "VerifyReport",
-    "add",
     "available_backends",
     "check_invariant",
-    "compare",
     "compare_algorithms",
-    "divmod_base",
     "errors",
     "exhaustive_check",
     "from_int",
     "incremental_multiply",
-    "mul_by_digit",
     "multiply",
-    "normalize",
     "oracle_multiply",
     "parse_natural",
     "random_check",
@@ -118,6 +105,5 @@ __all__ = [
     "render_trace_json",
     "render_trace_text",
     "schoolbook_multiply",
-    "shift",
     "to_int",
 ]

@@ -17,7 +17,7 @@ The kernels are internal and unchecked: they trust their caller to pass
 canonical digits in 0..base-1, and on anything else their output is
 undefined (``incremental([300], [3], 10)`` returns ``[0, 90]`` here, while
 the C kernels raise).  The checks live at the public entry points
-(``Natural``, ``digits.normalize``, ``from_int``, ``arith.mul_by_digit``,
+(``Natural``, ``parse_natural``, ``from_int``,
 ``algorithms.check_invariant``), which reject bad digits alike on both
 backends, so the verify hot path pays for no check.
 
@@ -52,17 +52,6 @@ def strip_high_zeros(digits):
     while n and digits[n - 1] == 0:
         n -= 1
     return digits[:n]
-
-
-def compare(a, b):
-    """-1, 0 or 1 as a is below, equal to or above b.  Length decides first."""
-    la, lb = len(a), len(b)
-    if la != lb:
-        return -1 if la < lb else 1
-    for i in range(la - 1, -1, -1):
-        if a[i] != b[i]:
-            return -1 if a[i] < b[i] else 1
-    return 0
 
 
 def add(a, b, base):

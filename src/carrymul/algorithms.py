@@ -22,7 +22,6 @@ per limb and base**g <= 2**30 (see ``_kernels_py.incremental_product``).
 from __future__ import annotations
 
 from carrymul import kernels
-from carrymul.arith import OpCounters
 from carrymul.digits import FrozenRecord, Natural, check_digits, require_same_base, wrap
 from carrymul.errors import WrongAlgorithm
 
@@ -35,6 +34,16 @@ class StepRecord(FrozenRecord):
     """One incremental step: full sum s, emitted digit r, outgoing carry."""
 
     __slots__ = ("k", "s", "r", "c_next")
+
+
+class OpCounters(FrozenRecord):
+    """Digit operations of one traced run, counted by the kernels in closed
+    form (see _kernels_py): digit_mults is len(a)*len(b), zeros included;
+    digit_adds is len(a)*len(b), one carry absorbed per digit product, plus
+    one per digit of each sum after the first (each step sum s_k, k >= 1,
+    or each running row sum after row 0)."""
+
+    __slots__ = ("digit_mults", "digit_adds")
 
 
 class Trace(FrozenRecord):

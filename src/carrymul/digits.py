@@ -1,4 +1,4 @@
-"""Canonical base-b naturals: parsing, rendering, comparison, conversion.
+"""Canonical base-b naturals: parsing, rendering, conversion.
 
 A ``Natural`` is an immutable little-endian digit vector together with its
 base.  Canonical form has no high-order zeros and represents zero as the
@@ -32,8 +32,6 @@ _RENDER = {
     base: ALPHABET[:base].encode("ascii") + b"\xff" * (256 - base)
     for base in range(MIN_BASE, MAX_BASE + 1)
 }
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def check_base(base):
@@ -171,6 +169,9 @@ def require_same_base(a: Natural, b: Natural):
 
 def parse_natural(text: str, base: int) -> Natural:
     """Read a most-significant-first digit string; leading zeros are fine."""
+    # a list or tuple of glyphs would parse too, and bytes fail as digit codes
+    if type(text) is not str:
+        raise TypeError(f"text must be a str, not {type(text).__name__}")
     check_base(base)
     if not text:
         raise EmptyInput()
@@ -199,19 +200,6 @@ def render_digits(digits, base) -> str:
     if not digits:
         return "0"
     return bytes(digits[::-1]).translate(_RENDER[base]).decode("ascii")
-
-
-def normalize(raw, base) -> Natural:
-    """Build a canonical Natural from carry-free digit values."""
-    values = list(raw)
-    check_digits(values, check_base(base))
-    return wrap(_kernels_py.strip_high_zeros(values), base)
-
-
-def compare(a: Natural, b: Natural) -> int:
-    """LESS (-1), EQUAL (0) or GREATER (1) by represented value."""
-    require_same_base(a, b)
-    return _kernels_py.compare(a.digits, b.digits)
 
 
 def to_int(n: Natural) -> int:

@@ -8,9 +8,9 @@ or tuples (see ``_kernels_py`` for the representation, the output rule and
 the counter conventions).  ``incremental_product``, which ``multiply`` runs,
 works in radix base**g (g digits per limb, base**g <= 2**30) in both
 backends; the trace, verify and the counters stay digit-level.  The other
-helpers (``add``, ``mul_by_digit``, ``strip_high_zeros``, ``compare``,
-``divmod_base``, ``shift``) exist only in ``_kernels_py``, return digits
-only, and are called from there directly.
+helpers (``add``, ``mul_by_digit``, ``strip_high_zeros``, ``divmod_base``,
+``shift``) exist only in ``_kernels_py``, return digits only, and are
+called from there directly.
 
 The kernels are internal and unchecked: only digits that a public entry
 point has already validated may reach them, and the two backends need not

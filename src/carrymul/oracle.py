@@ -63,7 +63,8 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def bounded(self, n: int) -> int:
-        """Uniform draw from 0..n-1."""
+        """Uniform draw from 0..n-1; n must be an int >= 1."""
+        check_count("n", n)
         return self.next_u64() % n
 
 

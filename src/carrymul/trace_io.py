@@ -15,8 +15,7 @@ import json
 import re
 from itertools import filterfalse
 
-from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK, Trace
-from carrymul.arith import OpCounters
+from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK, OpCounters, Trace
 from carrymul.digits import ALPHABET, MAX_BASE, MIN_BASE
 
 SCHEMA_VERSION = "1"

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carrymul import _kernels_py, arith, errors, kernels
+from carrymul import _kernels_py, errors, kernels
 from carrymul.algorithms import StepRecord, Trace, check_invariant, incremental_multiply
-from carrymul.digits import Natural, from_int, normalize, parse_natural, to_int
+from carrymul.digits import Natural, from_int, parse_natural, to_int
 from carrymul.oracle import all_bases, exhaustive_check, random_check
 from carrymul.trace_io import render_trace_json, render_trace_text
 
@@ -86,7 +86,8 @@ def test_backend_against_int_arithmetic(backend):
 
 
 def test_spec_add_and_mul_by_digit_against_int_arithmetic():
-    """add and mul_by_digit have no compiled mirror: arith calls the spec."""
+    """add and mul_by_digit have no compiled mirror: the spec kernels call
+    them directly."""
     rng = random.Random(99)
     for _ in range(250):
         base = rng.randint(2, 36)
@@ -410,9 +411,7 @@ def with_step_digit(trace, r):
 FORTY_THREE = parse_natural("43", 10)
 PUBLIC_ENTRY_POINTS = {
     "Natural": lambda x: Natural((x,), 10),
-    "normalize": lambda x: normalize([x, 1], 10),
     "from_int": lambda x: from_int(x, 10),
-    "arith.mul_by_digit": lambda x: arith.mul_by_digit(FORTY_THREE, x),
     "check_invariant.r": lambda x: check_invariant(
         with_step_digit(incremental_multiply(FORTY_THREE, FORTY_THREE), x)
     ),

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from carrymul import kernels
-from carrymul.arith import OpCounters
+from carrymul.algorithms import OpCounters
 from carrymul.bench import BenchReport
 from carrymul.cli import run
 

@@ -6,13 +6,8 @@ import pytest
 from carrymul import errors
 from carrymul.digits import (
     ALPHABET,
-    EQUAL,
-    GREATER,
-    LESS,
     Natural,
-    compare,
     from_int,
-    normalize,
     parse_natural,
     render_digits,
     render_natural,
@@ -51,6 +46,14 @@ def test_parse_invalid_glyph_reports_position():
     assert exc.value.char == "a"
     with pytest.raises(errors.InvalidDigitGlyph):
         parse_natural("1#4", 10)
+
+
+@pytest.mark.parametrize("text", [["1", "2"], ("9",), None, b"12", 12], ids=repr)
+def test_parse_rejects_text_that_is_not_a_str(text):
+    """A list of glyphs used to parse (["1", "2"] as 21), None to fail as
+    empty input and bytes as digit 49."""
+    with pytest.raises(TypeError, match=type(text).__name__):
+        parse_natural(text, 10)
 
 
 @pytest.mark.parametrize("base", [-1, 0, 1, 37, 100])
@@ -110,31 +113,6 @@ def test_render_digits_rejects_values_outside_the_alphabet(bad, error):
                 render_digits(digits, base)
 
 
-def test_normalize_strips_high_zeros():
-    assert normalize([4, 3, 2, 1, 0, 0], 10).digits == (4, 3, 2, 1)
-    assert normalize([0], 10).digits == ()
-    assert normalize([9], 10).digits == (9,)
-
-
-def test_normalize_rejects_out_of_range():
-    with pytest.raises(errors.DigitOutOfRange) as exc:
-        normalize([3, 10], 10)
-    assert exc.value.index == 1
-
-
-def test_compare():
-    n = lambda t: parse_natural(t, 10)
-    assert compare(n("162"), n("162")) == EQUAL
-    assert compare(n("9"), n("10")) == LESS  # length dominates
-    assert compare(n("700000"), n("699678")) == GREATER
-    assert compare(n("0"), n("1")) == LESS
-
-
-def test_compare_base_mismatch():
-    with pytest.raises(errors.BaseMismatch):
-        compare(parse_natural("1", 10), parse_natural("1", 16))
-
-
 def test_to_int():
     assert to_int(Natural((8, 3, 6, 8), 10)) == 8638
     assert to_int(Natural((), 7)) == 0
@@ -145,16 +123,6 @@ def test_from_int_round_trip():
     for value in [0, 1, 9, 10, 255, 8638, 699678]:
         for base in [2, 10, 16, 36]:
             assert to_int(from_int(value, base)) == value
-
-
-def test_compare_agrees_with_int_ordering():
-    values = list(range(0, 130, 7))
-    for base in (2, 10, 36):
-        naturals = [from_int(v, base) for v in values]
-        for x, nx in zip(values, naturals):
-            for y, ny in zip(values, naturals):
-                expected = (x > y) - (x < y)
-                assert compare(nx, ny) == expected
 
 
 def test_natural_rejects_non_canonical():
@@ -196,12 +164,6 @@ def test_natural_rejects_hostile_digits(digits, index):
         Natural(digits, 10)
     assert exc.value.index == index
     assert exc.value.value is digits[index]
-
-
-def test_normalize_rejects_bool_and_float():
-    for bad in (True, 1.0):
-        with pytest.raises(errors.DigitOutOfRange):
-            normalize([bad], 10)
 
 
 def test_from_int_rejects_non_int():

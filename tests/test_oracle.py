@@ -71,6 +71,22 @@ def test_splitmix64_reference_sequence():
     assert rng.next_u64() == 7960286522194355700
 
 
+@pytest.mark.parametrize("n", [-5, 0, 2.5, True, "3", None], ids=repr)
+def test_splitmix64_bounded_rejects_a_bound_that_is_not_a_positive_int(n):
+    """-5 used to draw from -4..0, 2.5 to return 1.5, True to act as 1 and
+    0 to raise ZeroDivisionError; a rejected call consumes no draw."""
+    rng = SplitMix64(7)
+    with pytest.raises(ValueError, match="n must be an int >= 1"):
+        rng.bounded(n)
+    assert rng.next_u64() == SplitMix64(7).next_u64()
+
+
+def test_splitmix64_bounded_reduces_each_draw_modulo_n():
+    rng, raw = SplitMix64(99), SplitMix64(99)
+    for n in (1, 2, 10, 36, 2**64 + 1):
+        assert rng.bounded(n) == raw.next_u64() % n
+
+
 def test_exhaustive_tiny():
     report = exhaustive_check(2, 10)
     assert report.pairs_checked == 4

@@ -1,6 +1,6 @@
-"""The package surface: every public name resolves, every annotation
-resolves, the trace path loads neither the verify nor the bench layer, and
-no layer loads dataclasses or inspect."""
+"""The package surface: the exact public names, every one resolves, every
+annotation resolves, the trace path loads neither the verify nor the bench
+layer, and no layer loads dataclasses or inspect."""
 
 import importlib
 import json
@@ -23,16 +23,26 @@ VERIFY_AND_BENCH = ("carrymul.oracle", "carrymul.bench", "statistics", "fraction
 # stdlib modules that cost about half of `import carrymul`; no layer needs them
 HEAVY = ("dataclasses", "inspect")
 
+# the submodule of instrumented arithmetic, deleted once the kernels
+# counted in closed form
+RETIRED = "arith"
+
 CHILD = f"""
-import contextlib, io, json, sys
+import contextlib, importlib.util, io, json, sys
 import carrymul.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = carrymul.cli.run(["trace", "12", "34", "--format", "json"])
-loaded = [m for m in {VERIFY_AND_BENCH + HEAVY!r} if m in sys.modules]
+retired = "carrymul." + {RETIRED!r}
+loaded = [m for m in {VERIFY_AND_BENCH + HEAVY!r} + (retired,) if m in sys.modules]
 submodules = [
     type(getattr(carrymul, m)).__name__ for m in ("oracle", "bench", "trace_io")
 ]
-print(json.dumps({{"code": code, "loaded": loaded, "submodules": submodules}}))
+print(json.dumps({{
+    "code": code,
+    "loaded": loaded,
+    "submodules": submodules,
+    "retired": importlib.util.find_spec(retired) is None,
+}}))
 """
 
 # what the benchmark harness imports
@@ -62,16 +72,54 @@ def run_child(code):
 def test_trace_loads_neither_verify_nor_bench():
     """Asserts module names, not time: a fresh interpreter that runs one
     trace must not have imported the oracle, bench, their stdlib needs,
-    dataclasses or inspect."""
+    dataclasses, inspect or the retired arith module, which must not exist."""
     result = run_child(CHILD)
     assert result["code"] == 0
     assert result["loaded"] == []
     # the lazily loaded submodules are still attributes of the package
     assert result["submodules"] == ["module"] * 3
+    assert result["retired"]
 
 
 def test_verify_and_bench_load_neither_dataclasses_nor_inspect():
     assert run_child(VERIFY_AND_BENCH_CHILD) == []
+
+
+def test_public_names_are_exactly_these():
+    """Widening or narrowing the API is a declared change: edit this list."""
+    assert carrymul.__all__ == [
+        "ALGORITHMS",
+        "BACKEND",
+        "BenchReport",
+        "INCREMENTAL",
+        "MAX_BASE",
+        "MIN_BASE",
+        "Natural",
+        "OpCounters",
+        "SCHOOLBOOK",
+        "SplitMix64",
+        "StepRecord",
+        "Trace",
+        "VerifyReport",
+        "available_backends",
+        "check_invariant",
+        "compare_algorithms",
+        "errors",
+        "exhaustive_check",
+        "from_int",
+        "incremental_multiply",
+        "multiply",
+        "oracle_multiply",
+        "parse_natural",
+        "random_check",
+        "render_natural",
+        "render_report_json",
+        "render_report_text",
+        "render_trace_json",
+        "render_trace_text",
+        "schoolbook_multiply",
+        "to_int",
+    ]
 
 
 def test_every_public_name_resolves():

@@ -12,14 +12,7 @@ from carrymul.algorithms import (
     multiply,
     schoolbook_multiply,
 )
-from carrymul.arith import OpCounters, add, divmod_base, mul_by_digit, shift
-from carrymul.digits import (
-    compare,
-    from_int,
-    parse_natural,
-    render_natural,
-    to_int,
-)
+from carrymul.digits import from_int, parse_natural, render_natural, to_int
 from carrymul.oracle import oracle_multiply
 
 bases = st.integers(min_value=2, max_value=36)
@@ -31,30 +24,6 @@ small_values = st.integers(min_value=0, max_value=10**12)
 def test_parse_render_round_trip(value, base):
     n = from_int(value, base)
     assert to_int(parse_natural(render_natural(n), base)) == value
-
-
-@given(values, values, bases)
-def test_add_matches_int(x, y, base):
-    assert to_int(add(from_int(x, base), from_int(y, base))) == x + y
-
-
-@given(values, bases, st.data())
-def test_mul_by_digit_matches_int(x, base, data):
-    d = data.draw(st.integers(min_value=0, max_value=base - 1))
-    assert to_int(mul_by_digit(from_int(x, base), d)) == x * d
-
-
-@given(values, bases)
-def test_divmod_base_reconstructs(x, base):
-    n = from_int(x, base)
-    q, r = divmod_base(n)
-    assert to_int(q) * base + r == x
-    assert 0 <= r < base
-
-
-@given(values, bases, st.integers(min_value=0, max_value=8))
-def test_shift_matches_int(x, base, k):
-    assert to_int(shift(from_int(x, base), k)) == x * base**k
 
 
 @given(values, values, bases)
@@ -106,12 +75,6 @@ def test_product_value_is_base_independent(x, y, b1, b2):
 
 
 @given(values, values, bases)
-def test_compare_matches_int_ordering(x, y, base):
-    expected = (x > y) - (x < y)
-    assert compare(from_int(x, base), from_int(y, base)) == expected
-
-
-@given(values, values, bases)
 @settings(max_examples=50)
 def test_trace_digits_stay_canonical(x, y, base):
     trace = incremental_multiply(from_int(x, base), from_int(y, base))
@@ -119,16 +82,3 @@ def test_trace_digits_stay_canonical(x, y, base):
         assert not step.s.digits or step.s.digits[-1] != 0
         assert not step.c_next.digits or step.c_next.digits[-1] != 0
         assert 0 <= step.r < base
-
-
-@given(values, values, bases)
-@settings(max_examples=50)
-def test_counter_ticks_are_monotone(x, y, base):
-    a, b = from_int(x, base), from_int(y, base)
-    c = OpCounters()
-    seen = (0, 0)
-    for d in b.digits:
-        mul_by_digit(a, d, c)
-        now = (c.digit_mults, c.digit_adds)
-        assert now >= seen
-        seen = now
