@@ -12,8 +12,11 @@ end-to-end pair (``--trace 0`` for the declared run_seconds).  The side
 that runs first alternates from seed to seed.  The file records the
 backend, the commits, the shape mix, per-layer medians with the
 ``algorithms.incremental.*.peak_traced_mib`` peaks picked out, and each
-end-to-end metric's quartiles, pairs won and attempted/failed counts.
-Stdlib only.
+end-to-end metric's quartiles, pairs won, attempted/failed counts and
+``worse_by``, the change median's relative distance from the parent
+median, positive when worse.  A metric is ``within_bound`` unless
+``worse_by`` exceeds its BENCHMARK.json bound; ``outside_bound`` lists
+every ``workload/metric`` that is not.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ def per_layer(runs):
 
 
 def end_to_end(runs, declared):
-    """Quartiles, pairs won and counts of every end-to-end metric."""
+    """Quartiles, pairs won, counts and distance from the bound of every
+    end-to-end metric."""
     counts = {
         side: {
             "attempted": [res["attempted"] for _, res in runs[side]],
@@ -101,6 +105,10 @@ def end_to_end(runs, declared):
             entry[f"{side}_q1_median_q3"] = quartiles(series[side])
             entry[f"{side}_runs"] = series[side]
         entry["change_better_pairs"] = f"{won}/{len(series['parent'])}"
+        parent, change = (entry[f"{side}_q1_median_q3"][1] for side in SIDES)
+        worse = (change - parent) / parent
+        entry["worse_by"] = worse if lower else -worse
+        entry["within_bound"] = entry["worse_by"] <= spec["bound"]
         metrics[name] = entry
     return {"counts": counts, "metrics": metrics}
 
@@ -118,7 +126,8 @@ def main(argv=None):
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     doc = {"pr": args.pr, "backend": {}, "commits": {}, "machine": None,
-           "shape_mix": {}, "per_layer": {}, "peaks": {}, "end_to_end": {}}
+           "shape_mix": {}, "per_layer": {}, "peaks": {}, "end_to_end": {},
+           "outside_bound": []}
     for workload in (w["name"] for w in spec["workloads"]):
         layers = alternating(
             checkouts, args.layer_seeds,
@@ -151,6 +160,11 @@ def main(argv=None):
                         f"seeds {args.seeds}, one pair per seed, order alternating",
                 **end_to_end(pairs, spec["end_to_end"]),
             }
+            doc["outside_bound"] += [
+                f"{workload}/{name}"
+                for name, entry in doc["end_to_end"][workload]["metrics"].items()
+                if not entry["within_bound"]
+            ]
     out = checkouts["change"] / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)

@@ -19,10 +19,8 @@ lengths, and that kernel runs the same step in radix base**g, with g digits
 per limb and base**g <= 2**30 (see ``_kernels_py.incremental_product``).
 """
 
-from __future__ import annotations
-
 from carrymul import kernels
-from carrymul.digits import FrozenRecord, Natural, check_digits, require_same_base, wrap
+from carrymul.digits import Natural, Record, check_digits, require_same_base, wrap
 from carrymul.errors import WrongAlgorithm
 
 INCREMENTAL = "incremental"
@@ -30,13 +28,13 @@ SCHOOLBOOK = "schoolbook"
 ALGORITHMS = (INCREMENTAL, SCHOOLBOOK)
 
 
-class StepRecord(FrozenRecord):
+class StepRecord(Record):
     """One incremental step: full sum s, emitted digit r, outgoing carry."""
 
     __slots__ = ("k", "s", "r", "c_next")
 
 
-class OpCounters(FrozenRecord):
+class OpCounters(Record):
     """Digit operations of one traced run, counted by the kernels in closed
     form (see _kernels_py): digit_mults is len(a)*len(b), zeros included;
     digit_adds is len(a)*len(b), one carry absorbed per digit product, plus
@@ -46,7 +44,7 @@ class OpCounters(FrozenRecord):
     __slots__ = ("digit_mults", "digit_adds")
 
 
-class Trace(FrozenRecord):
+class Trace(Record):
     """One traced run: steps for incremental only, rows for schoolbook only."""
 
     __slots__ = ("algorithm", "base", "a", "b", "steps", "rows", "result", "counters")

@@ -7,8 +7,6 @@ asserted anywhere, since both algorithms do the same Θ(len(a)·len(b)) digit
 work and micro-timings depend on the environment.
 """
 
-from __future__ import annotations
-
 import statistics
 import time
 

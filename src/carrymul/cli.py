@@ -6,8 +6,6 @@ error, 2 verification found a mismatch.  The oracle and bench layers are
 imported by their own subcommands only, so mul and trace never load them.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

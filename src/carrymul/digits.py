@@ -9,8 +9,6 @@ chr('a'+v-10) for v >= 10; parsing accepts either case.  Bases run from 2
 to 36 so every digit is a single glyph.
 """
 
-from __future__ import annotations
-
 from carrymul import _kernels_py
 from carrymul.errors import (
     BaseMismatch,
@@ -48,19 +46,22 @@ def check_count(name, value):
 
 
 class Record:
-    """Base of the package's value types: construction, equality, repr,
-    pickling and ``_asdict`` read the fields from the subclass's
+    """Base of the package's value types: construction, equality, hashing,
+    repr, pickling and ``_asdict`` read the fields from the subclass's
     ``__slots__``, in order.
 
-    Equal only to an instance of the same class with equal fields; mutable,
-    so unhashable.  A subclass declares its fields once, in ``__slots__``,
-    and writes an ``__init__`` only to check its input or give defaults."""
+    Immutable: a field is bound once, while building, and assigning or
+    deleting one raises AttributeError.  Equal only to an instance of the
+    same class with equal fields, and hashed like the tuple of its fields,
+    so a record holding a dict or list is unhashable as that tuple is.  A
+    subclass declares its fields once, in ``__slots__``, and writes an
+    ``__init__`` only to check its input."""
 
     __slots__ = ()
 
     def __init__(self, *values, **named):
         """Bind the fields in ``__slots__`` order, by position and then by
-        name, each with ``object.__setattr__`` so a FrozenRecord builds too."""
+        name, each with ``object.__setattr__``."""
         names = self.__slots__
         if len(values) > len(names):
             raise TypeError(f"{type(self).__name__} takes {len(names)} fields")
@@ -85,7 +86,8 @@ class Record:
             return self._values() == other._values()
         return NotImplemented
 
-    __hash__ = None
+    def __hash__(self):
+        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
@@ -93,18 +95,8 @@ class Record:
 
     def __reduce__(self):
         # rebuild through __init__: the default slot-state restore assigns
-        # each field, which a FrozenRecord refuses
+        # each field, which __setattr__ refuses
         return self.__class__, self._values()
-
-
-class FrozenRecord(Record):
-    """An immutable Record, hashed like the tuple of its fields.  Fields are
-    set only while building, through ``object.__setattr__``."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -113,7 +105,7 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Natural(FrozenRecord):
+class Natural(Record):
     """Canonical little-endian digit vector in a fixed base."""
 
     __slots__ = ("digits", "base")

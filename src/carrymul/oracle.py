@@ -18,15 +18,12 @@ platform.  Constants and draw order are fixed below; changing either is a
 breaking change to recorded reports.
 """
 
-from __future__ import annotations
-
 import time
 
 from carrymul import kernels
 from carrymul.digits import (
     MAX_BASE,
     MIN_BASE,
-    FrozenRecord,
     Natural,
     Record,
     check_base,
@@ -53,6 +50,9 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
+        # a bool would seed as 0 or 1, and a float fail later with a bare TypeError
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -68,20 +68,22 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-class Mismatch(FrozenRecord):
+class Mismatch(Record):
     """One pair where the routes disagreed (all values rendered)."""
 
     __slots__ = ("a", "b", "base", "expected", "incremental", "schoolbook", "oracle")
 
 
-class InvariantFailure(FrozenRecord):
+class InvariantFailure(Record):
     """One pair whose incremental trace broke the invariant at this step."""
 
     __slots__ = ("a", "b", "base", "step")
 
 
 class VerifyReport(Record):
-    """A verify run's findings; each report gets its own two lists."""
+    """A verify run, built once at its end: mode "exhaustive" or "random",
+    its params, and its findings as tuples sorted by base, then operands
+    (then step)."""
 
     __slots__ = (
         "mode",
@@ -91,24 +93,6 @@ class VerifyReport(Record):
         "invariant_failures",
         "elapsed_s",
     )
-
-    def __init__(
-        self,
-        mode: str,  # "exhaustive" | "random"
-        params: dict,
-        pairs_checked: int = 0,
-        mismatches: list[Mismatch] | None = None,
-        invariant_failures: list[InvariantFailure] | None = None,
-        elapsed_s: float = 0.0,
-    ):
-        self.mode = mode
-        self.params = params
-        self.pairs_checked = pairs_checked
-        self.mismatches = [] if mismatches is None else mismatches
-        self.invariant_failures = (
-            [] if invariant_failures is None else invariant_failures
-        )
-        self.elapsed_s = elapsed_s
 
     def ok(self) -> bool:
         return not self.mismatches and not self.invariant_failures
@@ -155,8 +139,9 @@ def oracle_multiply(a: Natural, b: Natural) -> Natural:
     return wrap(kernels.impl.oracle_mul(a.digits, b.digits, base), base)
 
 
-def _check_pair(ad, bd, base, expected, report):
-    """Run all four routes over one raw digit pair and record disagreements.
+def _check_pair(ad, bd, base, expected, mismatches, failures):
+    """Run all four routes over one raw digit pair and append any
+    disagreement to mismatches and any broken step to failures.
 
     The incremental steps are checked and dropped before schoolbook builds
     its rows, so one algorithm's intermediates are alive at a time."""
@@ -169,7 +154,7 @@ def _check_pair(ad, bd, base, expected, report):
 
     value = int_from_digits(res_inc, base)
     if res_inc != res_sch or res_inc != res_orc or value != expected:
-        report.mismatches.append(
+        mismatches.append(
             Mismatch(
                 a=render_digits(ad, base),
                 b=render_digits(bd, base),
@@ -183,7 +168,7 @@ def _check_pair(ad, bd, base, expected, report):
 
     for k, okay in enumerate(flags):
         if not okay:
-            report.invariant_failures.append(
+            failures.append(
                 InvariantFailure(
                     a=render_digits(ad, base),
                     b=render_digits(bd, base),
@@ -193,29 +178,32 @@ def _check_pair(ad, bd, base, expected, report):
             )
 
 
-def _finalize(report, started):
-    # deterministic order regardless of how pairs were produced
-    report.mismatches.sort(key=lambda m: (m.base, int(m.a, m.base), int(m.b, m.base)))
-    report.invariant_failures.sort(
-        key=lambda f: (f.base, int(f.a, f.base), int(f.b, f.base), f.step)
-    )
-    report.elapsed_s = time.perf_counter() - started
-    return report
+def _verify(mode, params, pairs) -> VerifyReport:
+    """Check every (a digits, b digits, base, a·b) item of pairs and build
+    the report, its findings in one order however the pairs were made."""
+    started = time.perf_counter()
+    mismatches, failures = [], []
+    checked = 0
+    for ad, bd, base, expected in pairs:
+        _check_pair(ad, bd, base, expected, mismatches, failures)
+        checked += 1
+    mismatches.sort(key=lambda m: (m.base, int(m.a, m.base), int(m.b, m.base)))
+    failures.sort(key=lambda f: (f.base, int(f.a, f.base), int(f.b, f.base), f.step))
+    elapsed = time.perf_counter() - started
+    return VerifyReport(mode, params, checked, tuple(mismatches), tuple(failures), elapsed)
 
 
 def exhaustive_check(limit: int, base: int = 10) -> VerifyReport:
     """Check every pair (x, y) with 0 <= x, y < limit against all routes."""
     check_base(base)
     check_count("limit", limit)
-    started = time.perf_counter()
-    report = VerifyReport(mode="exhaustive", params={"limit": limit, "base": base})
     vectors = [int_to_digits(x, base) for x in range(limit)]
-    for x in range(limit):
-        ad = vectors[x]
-        for y in range(limit):
-            _check_pair(ad, vectors[y], base, x * y, report)
-    report.pairs_checked = limit * limit
-    return _finalize(report, started)
+    pairs = (
+        (ad, bd, base, x * y)
+        for x, ad in enumerate(vectors)
+        for y, bd in enumerate(vectors)
+    )
+    return _verify("exhaustive", {"limit": limit, "base": base}, pairs)
 
 
 def random_check(trials: int, max_digits: int, bases, seed: int) -> VerifyReport:
@@ -228,39 +216,28 @@ def random_check(trials: int, max_digits: int, bases, seed: int) -> VerifyReport
     """
     check_count("trials", trials)
     check_count("max_digits", max_digits)
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an int, got {seed!r}")
+    rng = SplitMix64(seed)
     # check every base as given, before the set merges 10.0 into 10
     base_list = sorted({check_base(b) for b in bases})
     if not base_list:
         raise ValueError("need at least one base")
-    started = time.perf_counter()
-    report = VerifyReport(
-        mode="random",
-        params={
-            "trials": trials,
-            "max_digits": max_digits,
-            "bases": base_list,
-            "seed": seed,
-        },
-    )
-    rng = SplitMix64(seed)
 
     def draw(base, length):
         digits = [rng.bounded(base) for _ in range(length - 1)]
         digits.append(1 + rng.bounded(base - 1))
         return digits
 
-    for _ in range(trials):
-        base = base_list[rng.bounded(len(base_list))]
-        la = 1 + rng.bounded(max_digits)
-        lb = 1 + rng.bounded(max_digits)
-        ad = draw(base, la)
-        bd = draw(base, lb)
-        expected = int_from_digits(ad, base) * int_from_digits(bd, base)
-        _check_pair(ad, bd, base, expected, report)
-    report.pairs_checked = trials
-    return _finalize(report, started)
+    def pairs():
+        for _ in range(trials):
+            base = base_list[rng.bounded(len(base_list))]
+            la = 1 + rng.bounded(max_digits)
+            lb = 1 + rng.bounded(max_digits)
+            ad = draw(base, la)
+            bd = draw(base, lb)
+            yield ad, bd, base, int_from_digits(ad, base) * int_from_digits(bd, base)
+
+    params = {"trials": trials, "max_digits": max_digits, "bases": base_list, "seed": seed}
+    return _verify("random", params, pairs())
 
 
 def all_bases() -> range:

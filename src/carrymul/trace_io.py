@@ -9,8 +9,6 @@ The verify and bench documents are rendered next to their report types,
 in ``carrymul.oracle`` and ``carrymul.bench``, with the two helpers here.
 """
 
-from __future__ import annotations
-
 import json
 import re
 from itertools import filterfalse

@@ -227,14 +227,29 @@ def test_drivers_take_only_int_sizes(call):
         call()
 
 
+@pytest.mark.parametrize("seed", [True, False, 1.5, None, "1"], ids=repr)
+def test_splitmix_takes_only_int_seeds(seed):
+    """The generator checks its own seed, as random_check does through it: a
+    bool would seed as 0 or 1, and the others fail with a bare TypeError."""
+    with pytest.raises(ValueError, match="seed must be an int"):
+        SplitMix64(seed)
+
+
 def test_random_masks_negative_seeds(monkeypatch):
-    """A negative seed is valid and draws as the seed mod 2**64."""
+    """A negative seed is valid and draws as the seed mod 2**64, in the
+    documented order: base, len(a), len(b), the digits of a, then of b."""
     drawn = []
     monkeypatch.setattr(oracle, "_check_pair", lambda *args: drawn.append(args[:3]))
     report = random_check(20, 6, {2, 10, 36}, seed=-1)
     assert report.params["seed"] == -1
     random_check(20, 6, {2, 10, 36}, seed=2**64 - 1)
     assert drawn[:20] == drawn[20:]
+    # recorded values: reordering the draws changes every recorded report
+    assert drawn[:3] == [
+        ([18, 6, 19, 11], [20, 6], 36),
+        ([5, 5], [5, 5], 10),
+        ([6], [3, 7, 9, 6], 10),
+    ]
 
 
 def test_mismatch_reporting_via_stubbed_backend(monkeypatch):

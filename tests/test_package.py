@@ -26,6 +26,9 @@ HEAVY = ("dataclasses", "inspect")
 # the submodule of instrumented arithmetic, deleted once the kernels
 # counted in closed form
 RETIRED = "arith"
+# every annotation the package writes evaluates at definition time, so no
+# module needs `from __future__ import annotations`
+FUTURE = "__future__"
 
 CHILD = f"""
 import contextlib, importlib.util, io, json, sys
@@ -33,7 +36,9 @@ import carrymul.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = carrymul.cli.run(["trace", "12", "34", "--format", "json"])
 retired = "carrymul." + {RETIRED!r}
-loaded = [m for m in {VERIFY_AND_BENCH + HEAVY!r} + (retired,) if m in sys.modules]
+loaded = [
+    m for m in {VERIFY_AND_BENCH + HEAVY + (FUTURE,)!r} + (retired,) if m in sys.modules
+]
 submodules = [
     type(getattr(carrymul, m)).__name__ for m in ("oracle", "bench", "trace_io")
 ]
@@ -72,7 +77,8 @@ def run_child(code):
 def test_trace_loads_neither_verify_nor_bench():
     """Asserts module names, not time: a fresh interpreter that runs one
     trace must not have imported the oracle, bench, their stdlib needs,
-    dataclasses, inspect or the retired arith module, which must not exist."""
+    dataclasses, inspect, __future__ or the retired arith module, which must
+    not exist."""
     result = run_child(CHILD)
     assert result["code"] == 0
     assert result["loaded"] == []
