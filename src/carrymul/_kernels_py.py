@@ -1,9 +1,9 @@
 """Pure-Python digit-vector kernels.
 
 This is the reference backend and the spec.  ``carrymul._speedups`` (one
-hand-written C file) is a compiled mirror of the five kernels that multiply
-and verify run: incremental, incremental_product, schoolbook,
-check_invariant and oracle_mul.  On valid input the two must stay
+hand-written C file) is a compiled mirror of the six kernels that multiply,
+trace and verify run: incremental, incremental_steps, incremental_product,
+schoolbook, check_invariant and oracle_mul.  On valid input the two must stay
 identical, counters included (see tests/test_backends.py).  The remaining
 helpers, add and mul_by_digit among them, live here only.
 
@@ -39,7 +39,8 @@ Counter conventions (fixed, so operation counts are deterministic):
     included; one digit_add per position for carry absorption.  Placing a
     final carry digit is not an addition and does not tick.
 
-The helpers return digits only; the kernels count in closed form:
+The helpers return digits only; the kernels (tally, for a stream of
+incremental steps) count in closed form:
 digit_mults = len(a)*len(b) and digit_adds = len(a)*len(b) plus the sum of
 len(s_k) over k >= 1 (incremental) or of len(acc_j) over j >= 1
 (schoolbook, acc_j being the running sum of rows 0..j).
@@ -110,28 +111,35 @@ def shift(n, k):
     return [0] * k + list(n)
 
 
-def incremental(a, b, base):
-    """Multiply by emitting one result digit per step of the multiplier.
-
-    Step 0 computes s = a*b[0]; step k >= 1 computes s = a*b[k] + carry.
-    Each step emits r = s mod base and carries floor(s / base), which may be
-    as long as a.  Returns (steps, result, digit_mults, digit_adds) where
-    steps is a list of (s, r, carry_out) triples in step order.
-    """
-    steps = []
-    mults = adds = len(a) * len(b)
+def incremental_steps(a, b, base):
+    """Yield the incremental algorithm's steps, (s, r, carry_out) in order,
+    holding only the last carry.  Step 0 computes s = a*b[0]; step k >= 1,
+    s = a*b[k] + carry.  Each step emits r = s mod base and carries
+    floor(s / base), which may be as long as a."""
     carry = []
-    emitted = []
     for k, d in enumerate(b):
         s = mul_by_digit(a, d, base)
         if k:
             s = add(s, carry, base)
-            adds += len(s)
         carry, r = divmod_base(s)
-        steps.append((s, r, carry))
+        yield s, r, carry
+
+
+def tally(a, b, steps):
+    """(result, digit_mults, digit_adds) of incremental's steps, read once:
+    result = final carry * base**len(b) + sum(r[k] * base**k), and the
+    counters in closed form."""
+    emitted, carry, adds = [], [], len(a) * len(b)
+    for k, (s, r, carry) in enumerate(steps):
         emitted.append(r)
-    # result = carry * base**len(b) + sum(r[i] * base**i)
-    return steps, strip_high_zeros(emitted + carry), mults, adds
+        adds += len(s) if k else 0
+    return strip_high_zeros(emitted + carry), len(a) * len(b), adds
+
+
+def incremental(a, b, base):
+    """(steps, result, digit_mults, digit_adds), steps listed in order."""
+    steps = list(incremental_steps(a, b, base))
+    return (steps, *tally(a, b, steps))
 
 
 LIMB_LIMIT = 1 << 30

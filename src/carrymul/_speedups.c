@@ -1,8 +1,8 @@
 /* Compiled digit-vector kernels.
 
-   A C mirror of the five kernels of carrymul._kernels_py that multiply
-   and verify run: incremental, incremental_product, schoolbook,
-   check_invariant and oracle_mul.
+   A C mirror of the six kernels of carrymul._kernels_py that multiply,
+   trace and verify run: incremental, incremental_steps,
+   incremental_product, schoolbook, check_invariant and oracle_mul.
    Each takes and returns the same lists, tuples and counters as its
    pure-Python spec (see that module for the representation and the
    counting rules), so the two backends can be compared with ==.  The
@@ -242,17 +242,20 @@ parse(const char *name, Py_ssize_t nargs, Py_ssize_t want,
 
 /* -- the kernels ---------------------------------------------------------- */
 
-/* Step k writes its sum s over out[k:], where out[k] is the emitted digit
-   and out[k+1:] the carry that step k+1 adds to a * b[k+1].  So out ends
-   up holding the emitted digits followed by the final carry: the product. */
+/* The one step loop of incremental and incremental_steps; steps_only picks
+   which of the two results it returns.  Step k writes its sum s over
+   out[k:], where out[k] is the emitted digit and out[k+1:] the carry that
+   step k+1 adds to a * b[k+1].  So out ends up holding the emitted digits
+   followed by the final carry: the product. */
 static PyObject *
-py_incremental(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+run_incremental(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                int steps_only)
 {
     int base;
     Py_ssize_t la, lb, lc = 0, adds;
     u8 *a = NULL, *b = NULL, *t = NULL, *out = NULL;
     PyObject *steps = NULL, *res = NULL;
-    if (parse("incremental", nargs, 3, args, &base) < 0
+    if (parse(name, nargs, 3, args, &base) < 0
         || !(a = load(args[0], base, 0, &la))
         || !(b = load(args[1], base, 0, &lb))
         || !(t = alloc(la + 1)) || !(out = alloc(la + lb + 2))
@@ -276,8 +279,11 @@ py_incremental(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             goto done;
         PyList_SET_ITEM(steps, k, step);
     }
-    res = Py_BuildValue("(ONnn)", steps, to_list(out, strip(out, lb + lc)),
-                        la * lb, adds);
+    if (steps_only)
+        res = Py_NewRef(steps);
+    else
+        res = Py_BuildValue("(ONnn)", steps, to_list(out, strip(out, lb + lc)),
+                            la * lb, adds);
 done:
     Py_XDECREF(steps);
     PyMem_Free(a);
@@ -285,6 +291,19 @@ done:
     PyMem_Free(t);
     PyMem_Free(out);
     return res;
+}
+
+static PyObject *
+py_incremental(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    return run_incremental("incremental", args, nargs, 0);
+}
+
+/* The spec yields its steps one at a time; this returns them as a list. */
+static PyObject *
+py_incremental_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    return run_incremental("incremental_steps", args, nargs, 1);
 }
 
 /* The result of py_incremental without its steps, computed as in
@@ -489,6 +508,7 @@ done:
 
 static PyMethodDef methods[] = {
     KERNEL(incremental, "incremental(a, b, base) -> (steps, a * b, mults, adds)"),
+    KERNEL(incremental_steps, "incremental_steps(a, b, base) -> steps"),
     KERNEL(incremental_product, "incremental_product(a, b, base) -> a * b"),
     KERNEL(schoolbook, "schoolbook(a, b, base) -> (rows, a * b, mults, adds)"),
     KERNEL(check_invariant, "check_invariant(a, b, steps, base) -> [bool]"),

@@ -2,11 +2,15 @@
 
 Subcommands: mul, trace, verify, bench.  stdout carries only the requested
 payload; diagnostics go to stderr.  Exit codes: 0 success, 1 usage or parse
-error, 2 verification found a mismatch.  The oracle and bench layers are
-imported by their own subcommands only, so mul and trace never load them.
+error, or stdout closed before all of the payload was written (a reader such
+as ``head`` that quits early; no traceback is printed), 2 verification found
+a mismatch.  The oracle and bench layers are imported by their own
+subcommands only, so mul and trace never load them.  trace writes each step
+as it is computed (see ``trace_io.write_trace``).
 """
 
 import argparse
+import os
 import sys
 
 from carrymul import algorithms, trace_io
@@ -101,8 +105,7 @@ def run(argv) -> int:
 
         if args.subcommand == "trace":
             a, b = _operands(args)
-            trace = algorithms.TRACED[args.algo](a, b)
-            _emit(args, trace, trace_io.render_trace_json, trace_io.render_trace_text)
+            trace_io.write_trace(a, b, args.algo, args.format, sys.stdout.write)
             return EXIT_OK
 
         if args.subcommand == "verify":
@@ -157,7 +160,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe then raises here, not at exit
+    except BrokenPipeError:
+        # the recipe of the signal module's docs: the interpreter flushes
+        # stdout again at exit, so point it at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
 """Backend selection: compiled extension when available, pure Python otherwise.
 
-``impl`` is the module the rest of the package calls into for the five
-kernels that ``multiply`` and ``verify`` run: ``incremental``,
-``incremental_product``, ``schoolbook``, ``check_invariant`` and
-``oracle_mul``.  Both backends expose them over little-endian digit lists
-or tuples (see ``_kernels_py`` for the representation, the output rule and
-the counter conventions).  ``incremental_product``, which ``multiply`` runs,
+``impl`` is the module the rest of the package calls into for the six
+kernels that ``multiply``, ``trace`` and ``verify`` run: ``incremental``,
+``incremental_steps`` (a generator in Python, a list in C), ``schoolbook``,
+``incremental_product``, ``check_invariant`` and ``oracle_mul``, over
+little-endian digit lists or tuples (see ``_kernels_py`` for the output rule
+and the counters).  ``incremental_product``, which ``multiply`` runs,
 works in radix base**g (g digits per limb, base**g <= 2**30) in both
 backends; the trace, verify and the counters stay digit-level.  The other
 helpers (``add``, ``mul_by_digit``, ``strip_high_zeros``, ``divmod_base``,
-``shift``) exist only in ``_kernels_py``, return digits only, and are
-called from there directly.
+``shift``, and ``tally``, which reads either backend's incremental steps)
+exist only in ``_kernels_py`` and are called from there directly.
 
 The kernels are internal and unchecked: only digits that a public entry
 point has already validated may reach them, and the two backends need not

@@ -7,27 +7,42 @@ as a digit string in the operand base; the base itself, step indices and
 counters are plain integers.  SCHEMA_VERSION bumps on any field change.
 The verify and bench documents are rendered next to their report types,
 in ``carrymul.oracle`` and ``carrymul.bench``, with the two helpers here.
+
+Traces are written by hand, one formatter per format, so neither
+``write_trace`` (the CLI's path) nor the ``render_trace_*`` functions load
+``json``: every key is fixed and every value is an int or a string over
+``0-9a-z``, so nothing needs escaping.  Only ``dumps_canonical`` and
+``parse_trace_document`` import it.
 """
 
-import json
 import re
 from itertools import filterfalse
 
-from carrymul.algorithms import INCREMENTAL, SCHOOLBOOK, OpCounters, Trace
-from carrymul.digits import ALPHABET, MAX_BASE, MIN_BASE
+from carrymul import _kernels_py, kernels
+from carrymul.algorithms import ALGORITHMS, INCREMENTAL, SCHOOLBOOK, OpCounters, Trace
+from carrymul.digits import (
+    ALPHABET,
+    MAX_BASE,
+    MIN_BASE,
+    Natural,
+    render_digits,
+    require_same_base,
+)
 
 SCHEMA_VERSION = "1"
 
 
 def dumps_canonical(doc) -> str:
+    import json
+
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # -- traces ------------------------------------------------------------
 
 
-def render_trace_text(trace: Trace) -> str:
-    """Worked-example layout, one line per step.
+class _Text:
+    """Worked-example layout, one line per step, written as it comes.
 
     Incremental steps read
         S_k = A × b_k [+ c_k] = S; r_k = r; c_{k+1} = c
@@ -35,47 +50,125 @@ def render_trace_text(trace: Trace) -> str:
     rows read  P_j = A × b_j [× base^j] = row.  Both end with the product
     line  R = result.
     """
-    a_str = str(trace.a)
-    lines = []
-    if trace.algorithm == INCREMENTAL:
-        for step in trace.steps:
-            b_glyph = ALPHABET[trace.b.digits[step.k]]
-            carry_in = "" if step.k == 0 else f" + {trace.steps[step.k - 1].c_next}"
-            lines.append(
-                f"S_{step.k} = {a_str} × {b_glyph}{carry_in} = {step.s}; "
-                f"r_{step.k} = {ALPHABET[step.r]}; c_{step.k + 1} = {step.c_next}"
-            )
-    else:
-        for j, row in enumerate(trace.rows):
-            b_glyph = ALPHABET[trace.b.digits[j]]
-            shift_part = "" if j == 0 else f" × {trace.base}^{j}"
-            lines.append(f"P_{j} = {a_str} × {b_glyph}{shift_part} = {row}")
-    lines.append(f"R = {trace.result}")
-    return "\n".join(lines)
+
+    def __init__(self, algorithm, a, b, base, write):
+        self.a, self.b, self.base, self.write = render_digits(a, base), b, base, write
+        self.carry_in = ""
+
+    def step(self, k, s, r, c):
+        c = render_digits(c, self.base)
+        self.write(
+            f"S_{k} = {self.a} × {ALPHABET[self.b[k]]}{self.carry_in} = "
+            f"{render_digits(s, self.base)}; r_{k} = {ALPHABET[r]}; c_{k + 1} = {c}\n"
+        )
+        self.carry_in = f" + {c}"
+
+    def row(self, j, row):
+        shift = f" × {self.base}^{j}" if j else ""
+        self.write(
+            f"P_{j} = {self.a} × {ALPHABET[self.b[j]]}{shift} = "
+            f"{render_digits(row, self.base)}\n"
+        )
+
+    def end(self, result, mults, adds):
+        self.write(f"R = {render_digits(result, self.base)}\n")
 
 
-def trace_to_document(trace: Trace) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "algorithm": trace.algorithm,
-        "base": trace.base,
-        "a": str(trace.a),
-        "b": str(trace.b),
-        "result": str(trace.result),
-        "counters": trace.counters._asdict(),
-    }
-    if trace.algorithm == INCREMENTAL:
-        doc["steps"] = [
-            {"k": s.k, "s": str(s.s), "r": ALPHABET[s.r], "c_next": str(s.c_next)}
-            for s in trace.steps
-        ]
+class _Json:
+    """The canonical trace document.  Its sorted keys put "counters" and
+    "result" before "steps" or "rows", so each step's or row's fragment is
+    kept as it comes and the whole document is written at the end."""
+
+    def __init__(self, algorithm, a, b, base, write):
+        self.algorithm, self.a, self.b, self.base = algorithm, a, b, base
+        self.write = write
+        self.kept = []
+
+    def step(self, k, s, r, c):
+        self.kept.append(
+            f'{{"c_next":"{render_digits(c, self.base)}","k":{k},'
+            f'"r":"{ALPHABET[r]}","s":"{render_digits(s, self.base)}"}}'
+        )
+
+    def row(self, j, row):
+        self.kept.append(f'"{render_digits(row, self.base)}"')
+
+    def end(self, result, mults, adds):
+        base, write = self.base, self.write
+        write(
+            f'{{"a":"{render_digits(self.a, base)}","algorithm":"{self.algorithm}",'
+            f'"b":"{render_digits(self.b, base)}","base":{base},'
+            f'"counters":{{"digit_adds":{adds},"digit_mults":{mults}}},'
+            f'"result":"{render_digits(result, base)}",'
+        )
+        if self.algorithm == INCREMENTAL:
+            write(f'"schema_version":"{SCHEMA_VERSION}","steps":[')
+            close = "]}\n"
+        else:
+            write('"rows":[')
+            close = f'],"schema_version":"{SCHEMA_VERSION}"}}\n'
+        # one write per fragment: joining them would hold the document twice
+        for i, fragment in enumerate(self.kept):
+            write(f",{fragment}" if i else fragment)
+        write(close)
+
+
+_FORMATS = {"text": _Text, "json": _Json}
+
+
+def _each(emit, steps):
+    """Yield each step of steps after handing it, with its index, to emit."""
+    for k, step in enumerate(steps):
+        emit(k, *step)
+        yield step
+
+
+def write_trace(a: Natural, b: Natural, algorithm: str, fmt: str, write) -> None:
+    """Write the trace of a * b in fmt ("text" or "json") through write,
+    with the bytes of render_trace_* on the matching Trace (text ends with
+    a newline), but building no Trace, StepRecord or per-step Natural.
+
+    Incremental steps come from ``kernels.impl.incremental_steps``: the
+    pure-Python spec yields them one at a time, so only the last step and
+    the rendered text are held; the compiled kernel returns its step list.
+    The result and the counters come from ``_kernels_py.tally`` as the
+    steps pass.  Schoolbook renders the rows its kernel returns, since
+    storing every row is what defines it.
+    """
+    base = require_same_base(a, b)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    out = _FORMATS[fmt](algorithm, a.digits, b.digits, base, write)
+    if algorithm == INCREMENTAL:
+        steps = kernels.impl.incremental_steps(a.digits, b.digits, base)
+        out.end(*_kernels_py.tally(a.digits, b.digits, _each(out.step, steps)))
     else:
-        doc["rows"] = [str(row) for row in trace.rows]
-    return doc
+        rows, result, mults, adds = kernels.impl.schoolbook(a.digits, b.digits, base)
+        for j, row in enumerate(rows):
+            out.row(j, row)
+        out.end(result, mults, adds)
+
+
+def _render(trace: Trace, fmt: str) -> str:
+    """A Trace, written by the formatter that write_trace uses."""
+    parts = []
+    a, b = trace.a.digits, trace.b.digits
+    out = _FORMATS[fmt](trace.algorithm, a, b, trace.base, parts.append)
+    for step in trace.steps:
+        out.step(step.k, step.s.digits, step.r, step.c_next.digits)
+    for j, row in enumerate(trace.rows):
+        out.row(j, row.digits)
+    out.end(trace.result.digits, trace.counters.digit_mults, trace.counters.digit_adds)
+    return "".join(parts)
+
+
+def render_trace_text(trace: Trace) -> str:
+    """The worked-example layout of ``_Text``, without the final newline."""
+    return _render(trace, "text")[:-1]
 
 
 def render_trace_json(trace: Trace) -> str:
-    return dumps_canonical(trace_to_document(trace))
+    return _render(trace, "json")
 
 
 # field -> its exact JSON type; type() and not isinstance, so true is no int
@@ -99,12 +192,14 @@ def parse_trace_document(text: str) -> dict:
     JSON type, the base is supported, the counters are non-negative, step k
     sits at index k and emits one glyph, and every digit string is one that
     render_natural writes (lowercase, no leading zero, "0" for zero)."""
+    import json
+
     doc = json.loads(text)
     _require_fields(doc, {}, "trace document")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     algorithm = doc.get("algorithm")
-    if algorithm not in (INCREMENTAL, SCHOOLBOOK):
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     listed = "steps" if algorithm == INCREMENTAL else "rows"
     _require_fields(doc, {**_TRACE_FIELDS, listed: list}, "trace document")

@@ -52,6 +52,18 @@ def test_worked_example_per_backend(backend):
     assert steps[0] == ([8, 3, 6, 8], 8, [3, 6, 8])
 
 
+def test_incremental_steps_are_the_traced_steps(backend):
+    """incremental_steps gives the steps that incremental lists, on both
+    backends, for trivial, lopsided and random shapes in several bases."""
+    rng = random.Random(20)
+    for base in (2, 10, 16, 36):
+        for la, lb in ((0, 0), (0, 3), (3, 0), (1, 1), (1, 9), (9, 1), (17, 23)):
+            a, b = (exact_vector(rng, base, n) if n else [] for n in (la, lb))
+            steps, *counted = backend.incremental(a, b, base)
+            assert list(backend.incremental_steps(a, b, base)) == steps
+            assert list(_kernels_py.tally(a, b, steps)) == counted
+
+
 def assert_canonical(digits, base):
     """The output rule of _kernels_py, which digits.wrap relies on."""
     assert all(type(d) is int and 0 <= d < base for d in digits), digits
@@ -351,6 +363,8 @@ STEPS = py.incremental(GOOD, GOOD, 10)[0]
 HOSTILE_CALLS = {
     "incremental.a": lambda c, x: c.incremental([x], GOOD, 10),
     "incremental.b": lambda c, x: c.incremental(GOOD, [x], 10),
+    "incremental_steps.a": lambda c, x: c.incremental_steps([x], GOOD, 10),
+    "incremental_steps.b": lambda c, x: c.incremental_steps(GOOD, [x], 10),
     "incremental_product.a": lambda c, x: c.incremental_product([x], GOOD, 10),
     "incremental_product.b": lambda c, x: c.incremental_product(GOOD, [x], 10),
     "schoolbook.a": lambda c, x: c.schoolbook([x, 1], GOOD, 10),
@@ -468,11 +482,12 @@ def test_public_api_on_compiled_kernels(compiled_kernels, monkeypatch):
 
 
 def test_compiled_mirror_holds_only_the_hot_kernels(compiled_kernels):
-    """The C file mirrors the five kernels multiply and verify run, each
-    against its spec in _kernels_py, and nothing else."""
+    """The C file mirrors the six kernels multiply, trace and verify run,
+    each against its spec in _kernels_py, and nothing else."""
     names = {name for name in dir(compiled_kernels) if not name.startswith("_")}
     assert names == {
         "incremental",
+        "incremental_steps",
         "incremental_product",
         "schoolbook",
         "check_invariant",

@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from carrymul import kernels
+from carrymul import _kernels_py, kernels
 from carrymul.algorithms import OpCounters
 from carrymul.bench import BenchReport
 from carrymul.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_mul_worked_example(capsys):
@@ -44,6 +52,51 @@ def test_trace_schoolbook_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["algorithm"] == "schoolbook"
     assert "rows" in doc
+
+
+def test_trace_json_holds_no_whole_trace(monkeypatch):
+    """A 256x256 base-10 JSON trace, run in process as the benchmark's
+    memory probe runs it, peaks under a quarter of the 2153 KiB that
+    building the whole Trace, a document dict and one JSON string took:
+    the pure-Python kernel yields one step at a time and only the rendered
+    fragments are kept."""
+    monkeypatch.setattr(kernels, "impl", _kernels_py)
+    rng = random.Random(256)
+    a, b = (str(rng.randrange(10**255, 10**256)) for _ in range(2))
+    argv = ["trace", a, b, "--format", "json"]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(out.getvalue()) > 130_000
+    assert peak <= 538 * 1024
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_1_without_a_traceback(fmt):
+    """`carrymul trace ... | head -c 10`: the reader closes the pipe after
+    ten bytes of a ~3 MB trace, far more than a pipe buffer holds, so the
+    writer always meets the closed pipe.  Both formats exit 1 with nothing
+    on stderr, rather than a BrokenPipeError traceback or a silent exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    ))
+    operand = "7" * 1000
+    argv = [sys.executable, "-m", "carrymul.cli", "trace", operand, operand, "--format", fmt]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_verify_exhaustive(capsys):

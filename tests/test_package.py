@@ -1,6 +1,6 @@
 """The package surface: the exact public names, every one resolves, every
 annotation resolves, the trace path loads neither the verify nor the bench
-layer, and no layer loads dataclasses or inspect."""
+layer nor json, and no layer loads dataclasses or inspect."""
 
 import importlib
 import json
@@ -22,6 +22,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 VERIFY_AND_BENCH = ("carrymul.oracle", "carrymul.bench", "statistics", "fractions")
 # stdlib modules that cost about half of `import carrymul`; no layer needs them
 HEAVY = ("dataclasses", "inspect")
+# the trace is written by hand; only reading a document or rendering a
+# verify or bench report needs json
+JSON = "json"
 
 # the submodule of instrumented arithmetic, deleted once the kernels
 # counted in closed form
@@ -31,17 +34,19 @@ RETIRED = "arith"
 FUTURE = "__future__"
 
 CHILD = f"""
-import contextlib, importlib.util, io, json, sys
+import contextlib, importlib.util, io, sys
 import carrymul.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = carrymul.cli.run(["trace", "12", "34", "--format", "json"])
 retired = "carrymul." + {RETIRED!r}
 loaded = [
-    m for m in {VERIFY_AND_BENCH + HEAVY + (FUTURE,)!r} + (retired,) if m in sys.modules
+    m for m in {VERIFY_AND_BENCH + HEAVY + (FUTURE, JSON)!r} + (retired,)
+    if m in sys.modules
 ]
 submodules = [
     type(getattr(carrymul, m)).__name__ for m in ("oracle", "bench", "trace_io")
 ]
+import json  # only now: the check above must see the trace path alone
 print(json.dumps({{
     "code": code,
     "loaded": loaded,
@@ -76,9 +81,9 @@ def run_child(code):
 
 def test_trace_loads_neither_verify_nor_bench():
     """Asserts module names, not time: a fresh interpreter that runs one
-    trace must not have imported the oracle, bench, their stdlib needs,
-    dataclasses, inspect, __future__ or the retired arith module, which must
-    not exist."""
+    JSON trace must not have imported the oracle, bench, their stdlib
+    needs, dataclasses, inspect, __future__, json or the retired arith
+    module, which must not exist."""
     result = run_child(CHILD)
     assert result["code"] == 0
     assert result["loaded"] == []

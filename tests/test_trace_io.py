@@ -1,10 +1,20 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from carrymul.algorithms import incremental_multiply, schoolbook_multiply
-from carrymul.digits import parse_natural
+from carrymul import _kernels_py, cli, kernels
+from carrymul.algorithms import (
+    ALGORITHMS,
+    TRACED,
+    incremental_multiply,
+    schoolbook_multiply,
+)
+from carrymul.digits import ALPHABET, parse_natural
 from carrymul.oracle import (
     exhaustive_check,
     random_check,
@@ -16,7 +26,6 @@ from carrymul.trace_io import (
     parse_trace_document,
     render_trace_json,
     render_trace_text,
-    trace_to_document,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,14 +77,14 @@ def test_text_schoolbook_rows():
 
 
 def test_json_step_entry_matches_contract():
-    doc = trace_to_document(worked_trace())
+    doc = json.loads(render_trace_json(worked_trace()))
     assert doc["steps"][0] == {"c_next": "863", "k": 0, "r": "8", "s": "8638"}
     assert doc["base"] == 10
     assert doc["schema_version"] == "1"
 
 
 def test_json_zero_times_zero():
-    doc = trace_to_document(incremental_multiply(n("0"), n("0")))
+    doc = json.loads(render_trace_json(incremental_multiply(n("0"), n("0"))))
     assert doc["steps"] == []
     assert doc["result"] == "0"
 
@@ -169,11 +178,46 @@ def test_every_base_round_trips(base):
 def test_text_and_json_share_numeric_strings():
     trace = worked_trace()
     text = render_trace_text(trace)
-    doc = trace_to_document(trace)
+    doc = json.loads(render_trace_json(trace))
     for step in doc["steps"]:
         assert step["s"] in text
         assert step["c_next"] in text
     assert doc["result"] in text
+
+
+@pytest.fixture(params=["python", "compiled"])
+def backend(request, monkeypatch):
+    """Runs the test with kernels.impl set to each backend in turn."""
+    impl = _kernels_py
+    if request.param == "compiled":
+        impl = request.getfixturevalue("compiled_kernels")
+    monkeypatch.setattr(kernels, "impl", impl)
+
+
+def cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("base", range(2, 37))
+@settings(max_examples=8, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_streamed_trace_equals_the_trace_renderers(backend, base, data):
+    """`carrymul trace` writes each step as the kernel yields it and builds
+    no Trace; its stdout is byte-equal to the Trace-based renderers, for
+    both algorithms and formats, with zero and leading-zero operands, and
+    every streamed document re-serialises to itself through json."""
+    operand = st.text(ALPHABET[:base], max_size=12).map(lambda t: t or "0")
+    a, b = data.draw(operand, label="a"), data.draw(operand, label="b")
+    for algo in ALGORITHMS:
+        trace = TRACED[algo](parse_natural(a, base), parse_natural(b, base))
+        argv = ["trace", a, b, "--base", str(base), "--algo", algo, "--format"]
+        assert cli_stdout(argv + ["text"]) == render_trace_text(trace) + "\n"
+        streamed = cli_stdout(argv + ["json"])
+        assert streamed == render_trace_json(trace)
+        assert dumps_canonical(parse_trace_document(streamed)) == streamed
 
 
 def test_golden_json_file():
