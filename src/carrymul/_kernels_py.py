@@ -8,10 +8,12 @@ identical, counters included (see tests/test_backends.py).  The remaining
 helpers, add and mul_by_digit among them, live here only.
 
 Every kernel works digit by digit except incremental_product, the kernel
-behind ``multiply``: it runs the paper's step in radix base**g, over limbs
-of g digits with base**g <= 2**30 (``limb_radix``), and converts only at
-its edges.  incremental (the trace), check_invariant (verify) and the
-counters stay digit-level, since they audit the "same digit work" claim.
+behind ``multiply``: it runs the paper's step in radix base**g, with
+base**g <= 2**30 (``limb_radix``), holding a and its one carry as Python
+ints, so CPython's C limb loops multiply and divide them; it converts
+between digits and limbs only at its edges.  incremental (the trace),
+check_invariant (verify) and the counters stay digit-level, since they
+audit the "same digit work" claim.
 
 The kernels are internal and unchecked: they trust their caller to pass
 canonical digits in 0..base-1, and on anything else their output is
@@ -45,6 +47,8 @@ digit_mults = len(a)*len(b) and digit_adds = len(a)*len(b) plus the sum of
 len(s_k) over k >= 1 (incremental) or of len(acc_j) over j >= 1
 (schoolbook, acc_j being the running sum of rows 0..j).
 """
+
+from functools import cache
 
 
 def strip_high_zeros(digits):
@@ -145,12 +149,15 @@ def incremental(a, b, base):
 LIMB_LIMIT = 1 << 30
 
 
+@cache
 def limb_radix(base):
-    """(g, base**g) for the largest g with base**g <= 2**30.
+    """(g, base**g) for the largest g with base**g <= 2**30, computed once
+    per base on first use.
 
     g is 30/9/7/5 for bases 2/10/16/36.  A limb of g digits is then one
-    CPython int digit (one uint32_t in C), and a limb product plus two limbs
-    stays below 2**60.
+    CPython int digit (one uint32_t in C), so multiplying by a limb, and
+    dividing by a base**g below 2**30, take CPython's single-digit paths;
+    in C a limb product plus two limbs stays below 2**60.
     """
     g, radix = 1, base
     while radix * base <= LIMB_LIMIT:
@@ -175,42 +182,41 @@ def _unpack(limb, out, lo, base):
 
 
 def incremental_product(a, b, base):
-    """The product of ``incremental`` alone, holding one carry buffer.
+    """The product of ``incremental`` alone, holding a and one carry as ints.
 
-    This is the paper's step run in radix base**g (see ``limb_radix``): a
-    is packed once into limbs of g digits, and step k multiplies it by the
-    k-th limb of b, packed when the step runs.  One fused pass over the
-    limb carry reads limb i of s = a*d + carry and writes its low limb back
-    one place lower, so the buffer ends the pass holding floor(s / base**g)
-    and the low limb of s is emitted, unpacked straight into the output.
-    Every partial value a[i]*d + carry[i] + c is below base**(2g), so each
-    c is a single limb.  No step's sum or carry is kept and no counters are
-    returned: ``incremental``, the trace, verify and the counters stay
-    digit-level.
+    This is the paper's step run in radix R = base**g (see ``limb_radix``):
+    a is packed once into one int A, and step k multiplies it by the k-th
+    limb of b, packed when the step runs, and adds the carry:
+    ``carry, r = divmod(A * d + carry, R)``.  The low limb r is emitted,
+    unpacked straight into the output, and the carry, below A, goes on to
+    the next step.  CPython's own limb loops do the multiply and the
+    divide, with R one int digit.  At the end the carry is split into limbs
+    by the same divmod and unpacked above the emitted limbs.  No step's sum
+    or carry is kept and no counters are returned: ``incremental``, the
+    trace, verify and the counters stay digit-level.  Digits cross between
+    int and list one limb at a time, never through ``str``.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
     g, radix = limb_radix(base)
-    limbs = [_pack(a, i, g, base) for i in range(0, la, g)]
-    n = len(limbs)
-    carry = [0] * n
+    big_a = 0
+    for i in range((la - 1) // g * g, -1, -g):
+        big_a = big_a * radix + _pack(a, i, g, base)
     out = [0] * (la + lb + 2 * g)
+    carry = 0
     for k in range(0, lb, g):
-        d = _pack(b, k, g, base)
-        c, r = divmod(limbs[0] * d + carry[0], radix)
-        for i in range(1, n):
-            c, carry[i - 1] = divmod(limbs[i] * d + carry[i] + c, radix)
-        carry[n - 1] = c
+        carry, r = divmod(big_a * _pack(b, k, g, base) + carry, radix)
         _unpack(r, out, k, base)
     # result = carry * base**top + the emitted limbs, top = g * (steps run)
     top = k + g
-    for i in range(n):
-        _unpack(carry[i], out, top + i * g, base)
-    size = top + n * g
-    while size and out[size - 1] == 0:
-        size -= 1
-    del out[size:]
+    while carry:
+        carry, r = divmod(carry, radix)
+        _unpack(r, out, top, base)
+        top += g
+    while top and out[top - 1] == 0:
+        top -= 1
+    del out[top:]
     return out
 
 

@@ -13,10 +13,11 @@ partial-product row first and adds them all at the end.
 ``incremental_multiply`` and ``schoolbook_multiply`` record a full Trace so
 the work can be replayed, rendered and audited; they, ``check_invariant``
 and the operation counters stay digit-level.  ``multiply`` returns the
-product alone: for the incremental algorithm it runs a kernel that holds one
-carry buffer and records nothing, so its memory stays linear in the operand
-lengths, and that kernel runs the same step in radix base**g, with g digits
-per limb and base**g <= 2**30 (see ``_kernels_py.incremental_product``).
+product alone: for the incremental algorithm it runs a kernel that records
+nothing and runs the same step in radix base**g, with g digits per limb and
+base**g <= 2**30.  It holds the multiplicand and its one carry as two ints,
+plus the output, so its memory stays linear in the operand lengths (see
+``_kernels_py.incremental_product``).
 """
 
 from carrymul import kernels
@@ -119,10 +120,10 @@ TRACED = {INCREMENTAL: incremental_multiply, SCHOOLBOOK: schoolbook_multiply}
 def multiply(a: Natural, b: Natural, algorithm: str = INCREMENTAL) -> Natural:
     """Product of a and b via the chosen algorithm.
 
-    The incremental product comes from a kernel that keeps only the carry,
-    no steps, and runs the paper's step over limbs of g digits (radix
-    base**g <= 2**30); schoolbook still builds its Trace, since storing
-    every row is what defines it.
+    The incremental product comes from a kernel that keeps no steps: it
+    runs the paper's step in radix base**g <= 2**30, holding the
+    multiplicand and its one carry as ints; schoolbook still builds its
+    Trace, since storing every row is what defines it.
     """
     if algorithm not in TRACED:
         raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -143,12 +143,16 @@ def _check_pair(ad, bd, base, expected, mismatches, failures):
     """Run all four routes over one raw digit pair and append any
     disagreement to mismatches and any broken step to failures.
 
-    The incremental steps are checked and dropped before schoolbook builds
-    its rows, so one algorithm's intermediates are alive at a time."""
+    The incremental value is the product of ``incremental_product``, the
+    kernel behind ``multiply``.  The traced steps go straight into the
+    invariant checker and are certified by its flags alone: the last flag
+    holds exactly when the emitted digits plus the final carry equal a·b,
+    and a step list shorter than b fails at its first missing step."""
     impl = kernels.impl
-    steps, res_inc, _, _ = impl.incremental(ad, bd, base)
-    flags = impl.check_invariant(ad, bd, steps, base)
-    del steps
+    flags = impl.check_invariant(ad, bd, impl.incremental_steps(ad, bd, base), base)
+    if len(flags) < len(bd):
+        flags.append(False)
+    res_inc = impl.incremental_product(ad, bd, base)
     _, res_sch, _, _ = impl.schoolbook(ad, bd, base)
     res_orc = impl.oracle_mul(ad, bd, base)
 

@@ -202,7 +202,8 @@ def test_multiply_holds_one_carry_buffer(backend, base, request, monkeypatch):
     the result-only product stores no steps and no rows, so its peak sits
     far below the traced run's and schoolbook's, and grows linearly (a
     quadratic peak would grow ~16x from 256^2 to 1024^2).  Base 36 packs
-    the fewest digits per limb, so it holds the most limb objects."""
+    the fewest digits per limb, and its multiplicand and carry, held as
+    ints, are the widest for a given digit count."""
     if backend == "compiled":
         monkeypatch.setattr(kernels, "impl", request.getfixturevalue("compiled_kernels"))
     rng = random.Random(512)
@@ -239,6 +240,21 @@ def test_verify_pair_holds_one_algorithm_at_a_time(backend, request, monkeypatch
         traced_peak(lambda: impl.schoolbook(a, b, 10)),
     )
     assert pair <= 1.2 * kernel
+
+
+def test_verify_pair_streams_the_traced_steps(monkeypatch):
+    """On the pure-Python backend the traced steps go from the generator
+    into the checker one at a time, so a verify pair keeps no step list and
+    peaks at schoolbook's rows alone (a listed trace added half as much
+    again at 256 x 256)."""
+    monkeypatch.setattr(kernels, "impl", _kernels_py)
+    rng = random.Random(256)
+    x, y = (rng.randrange(10**255, 10**256) for _ in range(2))
+    a, b = from_int(x, 10).digits, from_int(y, 10).digits
+    mismatches, failures = [], []
+    pair = traced_peak(lambda: _check_pair(a, b, 10, x * y, mismatches, failures))
+    assert mismatches == failures == []
+    assert pair <= 1.1 * traced_peak(lambda: _kernels_py.schoolbook(a, b, 10))
 
 
 def test_multiply_commutes_on_values():

@@ -314,6 +314,8 @@ def test_trivial_shapes(backend):
     assert backend.oracle_mul([5], [], 10) == []
     assert backend.check_invariant([], [], [], 10) == []
     assert backend.incremental_product([9, 9], [9], 10) == [1, 9, 8]
+    assert backend.incremental_product([], [3, 1], 10) == []
+    assert backend.incremental_product([4, 2], [], 10) == []
     rng = random.Random(1024)
     long = [rng.randrange(10) for _ in range(1023)] + [7]
     shapes = [
@@ -329,7 +331,7 @@ def test_trivial_shapes(backend):
         ([9], long, 10),
     ]
     # limb edges of incremental_product, which packs g digits per limb
-    for base in (2, 10, 16, 36):
+    for base in all_bases():
         g = py.limb_radix(base)[0]
         top = base - 1  # every digit maximal: the largest carries
         full = [[top] * n for n in (g - 1, g, g + 1, 2 * g + 1)]
@@ -342,6 +344,10 @@ def test_trivial_shapes(backend):
             ([top], full[-1], base),
             (full[-1], [top], base),
         ]
+    # past CPython's 4300-digit cap on int <-> str in base 10, so a kernel
+    # that converted through str would raise here
+    huge = exact_vector(rng, 10, 4500)
+    shapes += [(huge, [9] * 19, 10), ([7, 3], huge, 10)]
     for a, b, base in shapes:
         product = backend.incremental_product(a, b, base)
         assert product == backend.incremental(a, b, base)[1]

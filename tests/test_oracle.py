@@ -252,6 +252,33 @@ def test_random_masks_negative_seeds(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [lambda steps: steps[:-1], lambda steps: steps[:-1] + [(*steps[-1][:2], [])]],
+    ids=["stops-one-step-early", "drops-the-final-carry"],
+)
+def test_verify_certifies_the_traced_steps_by_their_flags(monkeypatch, fault):
+    """The traced route reaches the report only through its invariant flags,
+    since the pair's incremental value comes from incremental_product.  A
+    step list that stops early, or ends on a wrong carry, fails at that step
+    while the product stays right."""
+    real = kernels.impl
+
+    class Stub:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        @staticmethod
+        def incremental_steps(a, b, base):
+            steps = list(real.incremental_steps(a, b, base))
+            return fault(steps) if (a, b) == ([2, 1], [3, 4]) else steps
+
+    monkeypatch.setattr(kernels, "impl", Stub())
+    report = exhaustive_check(50, 10)
+    assert report.mismatches == ()
+    assert [(f.a, f.b, f.step) for f in report.invariant_failures] == [("12", "43", 1)]
+
+
 def test_mismatch_reporting_via_stubbed_backend(monkeypatch):
     """Force a wrong incremental product and check it is reported, rendered
     in the operand base and counted in the exit status."""
@@ -262,12 +289,11 @@ def test_mismatch_reporting_via_stubbed_backend(monkeypatch):
             return getattr(real, name)
 
         @staticmethod
-        def incremental(a, b, base):
-            steps, result, mults, adds = real.incremental(a, b, base)
+        def incremental_product(a, b, base):
+            result = real.incremental_product(a, b, base)
             if a == [1, 1] and b == [1, 1]:  # 11 x 11 only
-                result = list(result)
                 result[0] ^= 1
-            return steps, result, mults, adds
+            return result
 
     monkeypatch.setattr(kernels, "impl", Stub())
     report = exhaustive_check(12, 10)
