@@ -9,11 +9,14 @@ helpers, add and mul_by_digit among them, live here only.
 
 Every kernel works digit by digit except incremental_product, the kernel
 behind ``multiply``: it runs the paper's step in radix base**g, with
-base**g <= 2**30 (``limb_radix``), holding a and its one carry as Python
-ints, so CPython's C limb loops multiply and divide them; it converts
-between digits and limbs only at its edges.  incremental (the trace),
-check_invariant (verify) and the counters stay digit-level, since they
-audit the "same digit work" claim.
+base**g < 2**30 (``limb_radix``), holding a and its one carry as Python
+ints, so CPython's C limb loops multiply and divide them.  It converts
+between digits and limbs only at its edges, and there in C-level calls
+too: each limb of at most g digits is parsed from glyph text by one
+``int(glyphs, base)``, and each emitted limb is written as ceil(g/h)
+lookups of h digits in a per-base table (``piece_table``).  incremental
+(the trace), check_invariant (verify) and the counters stay digit-level,
+since they audit the "same digit work" claim.
 
 The kernels are internal and unchecked: they trust their caller to pass
 canonical digits in 0..base-1, and on anything else their output is
@@ -147,77 +150,95 @@ def incremental(a, b, base):
 
 
 LIMB_LIMIT = 1 << 30
+PIECE_LIMIT = 1 << 11
+# digit v -> its glyph, the text int(glyphs, base) parses; bytes 36..255
+# map to 0xFF, which int() rejects
+GLYPHS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"\xff")
 
 
 @cache
 def limb_radix(base):
-    """(g, base**g) for the largest g with base**g <= 2**30, computed once
+    """(g, base**g) for the largest g with base**g < 2**30, computed once
     per base on first use.
 
-    g is 30/9/7/5 for bases 2/10/16/36.  A limb of g digits is then one
+    g is 29/9/7/5 for bases 2/10/16/36.  A limb of g digits is then one
     CPython int digit (one uint32_t in C), so multiplying by a limb, and
-    dividing by a base**g below 2**30, take CPython's single-digit paths;
-    in C a limb product plus two limbs stays below 2**60.
+    dividing by base**g, take CPython's single-digit paths; in C a limb
+    product plus two limbs stays below 2**60.
     """
     g, radix = 1, base
-    while radix * base <= LIMB_LIMIT:
+    while radix * base < LIMB_LIMIT:
         g += 1
         radix *= base
     return g, radix
 
 
-def _pack(digits, lo, g, base):
-    """The limb of digits[lo:lo+g] (fewer digits at the top end)."""
-    limb = 0
-    for d in reversed(digits[lo : lo + g]):
-        limb = limb * base + d
-    return limb
-
-
-def _unpack(limb, out, lo, base):
-    """Write the digits of limb over out[lo:], up to its highest nonzero one."""
-    while limb:
-        limb, out[lo] = divmod(limb, base)
-        lo += 1
+@cache
+def piece_table(base):
+    """(h, rows, top_rows), built once per base on first use: h is the
+    largest count with base**h <= 2**11, capped at g (``limb_radix``), and
+    rows[v] is the h little-endian digits of v < base**h, as bytes.  A limb
+    is written as ceil(g/h) pieces of h digits, low first; when h does not
+    divide g, its top g mod h digits come from top_rows, the rows with that
+    many digits (top_rows is rows otherwise).
+    """
+    g = limb_radix(base)[0]
+    digits = [bytes((d,)) for d in range(base)]
+    levels = [[b""]]  # levels[j]: the rows of j digits
+    while len(levels) <= g and len(levels[-1]) * base <= PIECE_LIMIT:
+        levels.append([d + row for row in levels[-1] for d in digits])
+    h = len(levels) - 1
+    return h, levels[h], levels[g % h or h]
 
 
 def incremental_product(a, b, base):
     """The product of ``incremental`` alone, holding a and one carry as ints.
 
-    This is the paper's step run in radix R = base**g (see ``limb_radix``):
-    a is packed once into one int A, and step k multiplies it by the k-th
-    limb of b, packed when the step runs, and adds the carry:
-    ``carry, r = divmod(A * d + carry, R)``.  The low limb r is emitted,
-    unpacked straight into the output, and the carry, below A, goes on to
-    the next step.  CPython's own limb loops do the multiply and the
-    divide, with R one int digit.  At the end the carry is split into limbs
-    by the same divmod and unpacked above the emitted limbs.  No step's sum
-    or carry is kept and no counters are returned: ``incremental``, the
-    trace, verify and the counters stay digit-level.  Digits cross between
-    int and list one limb at a time, never through ``str``.
+    This is the paper's step run in radix R = base**g (see ``limb_radix``),
+    one step per limb of b: ``carry, r = divmod(A * b_k + carry, R)``.  The
+    low limb r is emitted and the carry, below A, goes on to the next step;
+    after the last step the carry is split into limbs by the same divmod.
+    CPython's own limb loops do the multiply and the divide, with R one int
+    digit.  No step's sum or carry is kept and no counters are returned:
+    ``incremental``, the trace, verify and the counters stay digit-level.
+
+    Digits cross into ints as glyph text: a and b are each translated once
+    into their glyphs, high digit first and padded with zero glyphs to
+    whole limbs, and every limb of g glyphs is one ``int(glyphs, base)``
+    call, so CPython's cap on int <-> str digits (4300 by default, at least
+    640 when set) never applies.  A is the Horner sum of a's limbs; b's
+    limbs are parsed as the steps run, low limb first.  Each emitted limb
+    is written into one bytearray as ceil(g/h) lookups in ``piece_table``.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
     g, radix = limb_radix(base)
+    h, rows, top_rows = piece_table(base)
+    piece, pieces_below_top = base**h, (g - 1) // h
+    k = (la + g - 1) // g * g
+    glyphs = bytes(reversed(a)).translate(GLYPHS).rjust(k, b"0")
     big_a = 0
-    for i in range((la - 1) // g * g, -1, -g):
-        big_a = big_a * radix + _pack(a, i, g, base)
-    out = [0] * (la + lb + 2 * g)
+    for i in range(0, k, g):
+        big_a = big_a * radix + int(glyphs[i : i + g], base)
+    k = (lb + g - 1) // g * g
+    glyphs = bytes(reversed(b)).translate(GLYPHS).rjust(k, b"0")
+    out = bytearray()
     carry = 0
-    for k in range(0, lb, g):
-        carry, r = divmod(big_a * _pack(b, k, g, base) + carry, radix)
-        _unpack(r, out, k, base)
-    # result = carry * base**top + the emitted limbs, top = g * (steps run)
-    top = k + g
-    while carry:
-        carry, r = divmod(carry, radix)
-        _unpack(r, out, top, base)
-        top += g
-    while top and out[top - 1] == 0:
-        top -= 1
-    del out[top:]
-    return out
+    while k or carry:
+        if k:
+            carry, r = divmod(big_a * int(glyphs[k - g : k], base) + carry, radix)
+            k -= g
+        else:  # the steps are done: split the carry into limbs
+            carry, r = divmod(carry, radix)
+        for _ in range(pieces_below_top):
+            out += rows[r % piece]
+            r //= piece
+        out += top_rows[r]
+    del glyphs  # the list below sets the peak: hold no more beside it
+    while out and not out[-1]:
+        out.pop()
+    return list(out)
 
 
 def schoolbook(a, b, base):

@@ -106,7 +106,7 @@ shifted_row(const u8 *x, Py_ssize_t lx, int d, Py_ssize_t j, u8 *row, int base)
 
 /* -- limbs: g digits in one uint32_t --------------------------------------- */
 
-/* g and base**g for the largest g with base**g <= 2**30, as
+/* g and base**g for the largest g with base**g < 2**30, as
    _kernels_py.limb_radix.  A limb product plus two limbs then stays below
    2**60, so one uint64_t holds every partial value of a limb step. */
 static int
@@ -114,7 +114,7 @@ limb_radix(int base, uint32_t *radix)
 {
     int g = 1;
     uint32_t r = (uint32_t)base;
-    while ((uint64_t)r * base <= LIMB_LIMIT) {
+    while ((uint64_t)r * base < LIMB_LIMIT) {
         r *= (uint32_t)base;
         g++;
     }
@@ -306,12 +306,12 @@ py_incremental_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return run_incremental("incremental_steps", args, nargs, 1);
 }
 
-/* The result of py_incremental without its steps, computed as in
-   _kernels_py.incremental_product: the paper's step in radix base**g.  a is
-   packed once into limbs; step k multiplies them by the k-th limb of b, adds
-   the limb carry, writes each limb of the sum one place lower in the carry
-   and unpacks the low limb into out[k..k+g) as it is emitted.  The final
-   carry is unpacked above the emitted limbs. */
+/* The result of py_incremental without its steps: the paper's step in
+   radix base**g, as _kernels_py.incremental_product runs it on two ints,
+   here on arrays of n limbs.  Step k runs A * (limb k of b) + carry from
+   the low limb up; the low limb of the sum goes to out[k..k+g) and the
+   limbs above it, each one place lower, are the next carry.  The last
+   carry's limbs are unpacked above the emitted ones. */
 static PyObject *
 py_incremental_product(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {

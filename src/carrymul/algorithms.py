@@ -15,9 +15,10 @@ the work can be replayed, rendered and audited; they, ``check_invariant``
 and the operation counters stay digit-level.  ``multiply`` returns the
 product alone: for the incremental algorithm it runs a kernel that records
 nothing and runs the same step in radix base**g, with g digits per limb and
-base**g <= 2**30.  It holds the multiplicand and its one carry as two ints,
-plus the output, so its memory stays linear in the operand lengths (see
-``_kernels_py.incremental_product``).
+base**g < 2**30.  It holds the multiplicand and its one carry as two ints,
+plus the output, so its memory stays linear in the operand lengths; digits
+become limbs by one ``int()`` parse of glyph text per limb, and limbs become
+digits by table lookups (see ``_kernels_py.incremental_product``).
 """
 
 from carrymul import kernels
@@ -121,7 +122,7 @@ def multiply(a: Natural, b: Natural, algorithm: str = INCREMENTAL) -> Natural:
     """Product of a and b via the chosen algorithm.
 
     The incremental product comes from a kernel that keeps no steps: it
-    runs the paper's step in radix base**g <= 2**30, holding the
+    runs the paper's step in radix base**g < 2**30, holding the
     multiplicand and its one carry as ints; schoolbook still builds its
     Trace, since storing every row is what defines it.
     """

@@ -21,7 +21,8 @@ from carrymul.errors import (
 MIN_BASE = 2
 MAX_BASE = 36
 
-ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
+# the glyphs of digits 0..35, as incremental_product parses them
+ALPHABET = _kernels_py.GLYPHS[:MAX_BASE].decode("ascii")
 _GLYPH_VALUE = {c: v for v, c in enumerate(ALPHABET)}
 _GLYPH_VALUE.update({c.upper(): v for v, c in enumerate(ALPHABET) if c.isalpha()})
 # base -> translate table: byte v < base -> its glyph; bytes base..255 map

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -218,6 +219,21 @@ def test_multiply_holds_one_carry_buffer(backend, base, request, monkeypatch):
     small = operand(256), operand(256)
     large = operand(1024), operand(1024)
     assert traced_peak(lambda: multiply(*large)) < 6 * traced_peak(lambda: multiply(*small))
+
+
+@pytest.mark.parametrize("base", [2, 10, 16, 36])
+def test_incremental_product_streams_its_limbs(base):
+    """The pure-Python kernel holds A, one carry, its glyph text and the
+    output bytes besides the output list: its own peak stays within 1.3x of
+    that list, which a kernel that listed every limb of b or of the output
+    would exceed.  The per-base tables are built before tracing, so the peak
+    does not depend on which test ran first."""
+    _kernels_py.piece_table(base)
+    rng = random.Random(base)
+    a, b = (from_int(rng.randrange(base**1023, base**1024), base).digits for _ in range(2))
+    product = []
+    peak = traced_peak(lambda: product.append(_kernels_py.incremental_product(a, b, base)))
+    assert peak <= 1.3 * sys.getsizeof(product[0])
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])

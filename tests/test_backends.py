@@ -330,9 +330,11 @@ def test_trivial_shapes(backend):
         (long, [9], 10),
         ([9], long, 10),
     ]
-    # limb edges of incremental_product, which packs g digits per limb
+    # limb edges of incremental_product, which packs g digits per limb and
+    # writes each limb as pieces of h digits
     for base in all_bases():
         g = py.limb_radix(base)[0]
+        h = py.piece_table(base)[0]
         top = base - 1  # every digit maximal: the largest carries
         full = [[top] * n for n in (g - 1, g, g + 1, 2 * g + 1)]
         zero_low_limb = [0] * g + [1]
@@ -344,8 +346,15 @@ def test_trivial_shapes(backend):
             ([top], full[-1], base),
             (full[-1], [top], base),
         ]
+        # piece boundaries inside a limb: h*j - 1, h*j and h*j + 1 digits
+        for n in {h * j + e for j in range(1, -(-g // h) + 1) for e in (-1, 0, 1)}:
+            shapes += [([top] * n, [1], base), ([1], [top] * n, base), ([top] * n, [top], base)]
+        # a limb whose top piece is zero, below a higher limb and as the top limb
+        below_top = g - (g % h or h)
+        zero_top = [top] * below_top + [0] * (g - below_top) + [1]
+        shapes += [(zero_top, [1], base), ([1], zero_top, base), (zero_top[:below_top], [1], base)]
     # past CPython's 4300-digit cap on int <-> str in base 10, so a kernel
-    # that converted through str would raise here
+    # that parsed more than a limb of glyphs at once would raise here
     huge = exact_vector(rng, 10, 4500)
     shapes += [(huge, [9] * 19, 10), ([7, 3], huge, 10)]
     for a, b, base in shapes:
