@@ -216,12 +216,12 @@ def incremental_product(a, b, base):
     g, radix = limb_radix(base)
     h, rows, top_rows = piece_table(base)
     piece, pieces_below_top = base**h, (g - 1) // h
-    k = (la + g - 1) // g * g
-    glyphs = bytes(reversed(a)).translate(GLYPHS).rjust(k, b"0")
+    width = (la + g - 1) // g * g
+    glyphs = bytes(reversed(a)).translate(GLYPHS).rjust(width, b"0")
     big_a = 0
-    for i in range(0, k, g):
+    for i in range(0, width, g):
         big_a = big_a * radix + int(glyphs[i : i + g], base)
-    k = (lb + g - 1) // g * g
+    k = (lb + g - 1) // g * g  # b's glyphs not yet stepped over
     glyphs = bytes(reversed(b)).translate(GLYPHS).rjust(k, b"0")
     out = bytearray()
     carry = 0
