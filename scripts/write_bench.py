@@ -17,7 +17,9 @@ end-to-end metric's quartiles, pairs won, attempted/failed counts and
 ``worse_by``, the change median's relative distance from the parent
 median, positive when worse.  A metric is ``within_bound`` unless
 ``worse_by`` exceeds its BENCHMARK.json bound; ``outside_bound`` lists
-every ``workload/metric`` that is not.
+every ``workload/metric`` that is not.  A gain is ``gain_resolved`` when
+the change wins at least 9 in 10 pairs and its median is better than the
+parent's by more than the parent's interquartile range.
 
 ``setup_s`` spreads about as widely as its bound between runs, so
 --setup-pairs N times it again: N alternating pairs of the checkout's own
@@ -130,11 +132,15 @@ def compare(series, spec):
     for side in SIDES:
         entry[f"{side}_q1_median_q3"] = quartiles(series[side])
         entry[f"{side}_runs"] = series[side]
-    entry["change_better_pairs"] = f"{won}/{len(series['parent'])}"
+    pairs = len(series["parent"])
+    entry["change_better_pairs"] = f"{won}/{pairs}"
     parent, change = (entry[f"{side}_q1_median_q3"][1] for side in SIDES)
     worse = (change - parent) / parent
     entry["worse_by"] = worse if lower else -worse
     entry["within_bound"] = entry["worse_by"] <= spec["bound"]
+    q1, _, q3 = entry["parent_q1_median_q3"]
+    gain = parent - change if lower else change - parent
+    entry["gain_resolved"] = won >= 0.9 * pairs and gain > q3 - q1
     return entry
 
 

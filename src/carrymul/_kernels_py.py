@@ -12,11 +12,12 @@ behind ``multiply``: it runs the paper's step in radix base**g, with
 base**g < 2**30 (``limb_radix``), holding a and its one carry as Python
 ints, so CPython's C limb loops multiply and divide them.  It converts
 between digits and limbs only at its edges, and there in C-level calls
-too: each limb of at most g digits is parsed from glyph text by one
-``int(glyphs, base)``, and each emitted limb is written as ceil(g/h)
-lookups of h digits in a per-base table (``piece_table``).  incremental
-(the trace), check_invariant (verify) and the counters stay digit-level,
-since they audit the "same digit work" claim.
+too: a is parsed from glyph text by one ``int(glyphs, base)`` per chunk
+of at most ``CHUNK`` (640) glyphs, each limb of b by one per step, and
+each emitted limb is written as ceil(g/h) lookups of h digits in a
+per-base table (``piece_table``).  incremental (the trace),
+check_invariant (verify) and the counters stay digit-level, since they
+audit the "same digit work" claim.
 
 The kernels are internal and unchecked: they trust their caller to pass
 canonical digits in 0..base-1, and on anything else their output is
@@ -51,6 +52,7 @@ len(s_k) over k >= 1 (incremental) or of len(acc_j) over j >= 1
 (schoolbook, acc_j being the running sum of rows 0..j).
 """
 
+import sys
 from functools import cache
 
 
@@ -151,6 +153,9 @@ def incremental(a, b, base):
 
 LIMB_LIMIT = 1 << 30
 PIECE_LIMIT = 1 << 11
+# the smallest cap CPython lets int <-> str conversion take (640), so a parse
+# of at most CHUNK glyphs never raises, whatever the cap is set to
+CHUNK = sys.int_info.str_digits_check_threshold
 # digit v -> its glyph, the text int(glyphs, base) parses; bytes 36..255
 # map to 0xFF, which int() rejects
 GLYPHS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"\xff")
@@ -203,24 +208,29 @@ def incremental_product(a, b, base):
     ``incremental``, the trace, verify and the counters stay digit-level.
 
     Digits cross into ints as glyph text: a and b are each translated once
-    into their glyphs, high digit first and padded with zero glyphs to
-    whole limbs, and every limb of g glyphs is one ``int(glyphs, base)``
-    call, so CPython's cap on int <-> str digits (4300 by default, at least
-    640 when set) never applies.  A is the Horner sum of a's limbs; b's
-    limbs are parsed as the steps run, low limb first.  Each emitted limb
-    is written into one bytearray as ceil(g/h) lookups in ``piece_table``.
+    into their glyphs, high digit first.  A is parsed in chunks of at most
+    ``CHUNK`` glyphs, one ``int(glyphs, base)`` each, the short head chunk
+    first, and the chunks are joined by Horner's rule in radix
+    base**CHUNK (Knuth, TAOCP Vol. 2 §4.4).  b is padded with zero glyphs
+    to whole limbs, and its limbs are parsed as the steps run, one
+    ``int()`` of g glyphs per step, low limb first.  No parse exceeds
+    CHUNK glyphs, so CPython's cap on int <-> str digits never applies.
+    Each emitted limb is written into one bytearray as ceil(g/h) lookups in
+    ``piece_table``.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
     g, radix = limb_radix(base)
     h, rows, top_rows = piece_table(base)
-    piece, pieces_below_top = base**h, (g - 1) // h
-    width = (la + g - 1) // g * g
-    glyphs = bytes(reversed(a)).translate(GLYPHS).rjust(width, b"0")
-    big_a = 0
-    for i in range(0, width, g):
-        big_a = big_a * radix + int(glyphs[i : i + g], base)
+    divisors = (base**h,) * ((g - 1) // h)  # one per piece below the top
+    glyphs = bytes(reversed(a)).translate(GLYPHS)
+    head = (la - 1) % CHUNK + 1
+    big_a = int(glyphs[:head], base)
+    if la > CHUNK:
+        chunk_radix = base**CHUNK
+        for i in range(head, la, CHUNK):
+            big_a = big_a * chunk_radix + int(glyphs[i : i + CHUNK], base)
     k = (lb + g - 1) // g * g  # b's glyphs not yet stepped over
     glyphs = bytes(reversed(b)).translate(GLYPHS).rjust(k, b"0")
     out = bytearray()
@@ -231,9 +241,9 @@ def incremental_product(a, b, base):
             k -= g
         else:  # the steps are done: split the carry into limbs
             carry, r = divmod(carry, radix)
-        for _ in range(pieces_below_top):
-            out += rows[r % piece]
-            r //= piece
+        for piece in divisors:
+            r, low = divmod(r, piece)
+            out += rows[low]
         out += top_rows[r]
     del glyphs  # the list below sets the peak: hold no more beside it
     while out and not out[-1]:

@@ -17,8 +17,9 @@ product alone: for the incremental algorithm it runs a kernel that records
 nothing and runs the same step in radix base**g, with g digits per limb and
 base**g < 2**30.  It holds the multiplicand and its one carry as two ints,
 plus the output, so its memory stays linear in the operand lengths; digits
-become limbs by one ``int()`` parse of glyph text per limb, and limbs become
-digits by table lookups (see ``_kernels_py.incremental_product``).
+become ints by ``int()`` parses of glyph text, one per chunk of at most 640
+glyphs of the multiplicand and one per limb of the multiplier, and limbs
+become digits by table lookups (see ``_kernels_py.incremental_product``).
 """
 
 from carrymul import kernels

@@ -8,8 +8,9 @@ little-endian digit lists or tuples (see ``_kernels_py`` for the output rule
 and the counters).  ``incremental_product``, which ``multiply`` runs,
 works in radix base**g (g digits per limb, base**g < 2**30) in both
 backends: the pure-Python one holds the multiplicand and its one carry as
-two ints, parses each limb from glyph text with one ``int()`` call and
-writes each emitted limb as a few table lookups, the C one holds
+two ints, parses the multiplicand from glyph text with one ``int()``
+call per chunk of at most 640 glyphs and each multiplier limb with one per
+step, and writes each emitted limb as a few table lookups; the C one holds
 uint32_t limb arrays.  The trace, verify and the
 counters stay digit-level.  The other helpers (``add``, ``mul_by_digit``,
 ``strip_high_zeros``, ``divmod_base``, ``shift``, and ``tally``, which

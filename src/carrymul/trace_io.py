@@ -187,11 +187,23 @@ def _require_fields(obj, fields: dict, what: str):
             raise ValueError(f"{what} needs a {kind.__name__} {name!r}")
 
 
+def _length(number: str) -> int:
+    """Digit count of a rendered number; zero, written "0", has none."""
+    return 0 if number == "0" else len(number)
+
+
 def parse_trace_document(text: str) -> dict:
     """Load and validate a serialized trace document: every field has its
     JSON type, the base is supported, the counters are non-negative, step k
     sits at index k and emits one glyph, and every digit string is one that
-    render_natural writes (lowercase, no leading zero, "0" for zero)."""
+    render_natural writes (lowercase, no leading zero, "0" for zero).
+
+    The printed numbers must also agree with each other, checked on the
+    strings with no arithmetic: each step's s is its c_next followed by its
+    r (r alone when c_next is "0"), digit_mults is len(a) * len(b), and an
+    incremental document's digit_adds is that product plus the lengths of
+    s_k for k >= 1, the closed form of ``_kernels_py.tally``.  A schoolbook
+    document keeps no running sums, so only its digit_mults is checked."""
     import json
 
     doc = json.loads(text)
@@ -210,12 +222,17 @@ def parse_trace_document(text: str) -> dict:
     if any(doc["counters"][name] < 0 for name in _COUNTER_FIELDS):
         raise ValueError("counters must be >= 0")
     numbers = [doc["a"], doc["b"], doc["result"]]
+    mults = adds = _length(doc["a"]) * _length(doc["b"])
     if algorithm == INCREMENTAL:
         for k, step in enumerate(doc["steps"]):
             _require_fields(step, _STEP_FIELDS, "step")
-            if step["k"] != k or len(step["r"]) != 1:
+            s, r, c_next = step["s"], step["r"], step["c_next"]
+            if step["k"] != k or len(r) != 1:
                 raise ValueError(f"step {k} needs k={k} and a one-glyph r")
-            numbers += (step["s"], step["r"], step["c_next"])
+            if s != (r if c_next == "0" else c_next + r):
+                raise ValueError(f"step {k}: s must be c_next followed by r")
+            adds += _length(s) if k else 0
+            numbers += (s, r, c_next)
     elif all(type(row) is str for row in doc["rows"]):
         numbers += doc["rows"]
     else:
@@ -223,4 +240,9 @@ def parse_trace_document(text: str) -> dict:
     canonical = re.compile(f"0|[{ALPHABET[1:base]}][{ALPHABET[:base]}]*").fullmatch
     for bad in filterfalse(canonical, numbers):
         raise ValueError(f"{bad!r} is not a canonical base-{base} number")
+    counters = doc["counters"]
+    if counters["digit_mults"] != mults:
+        raise ValueError(f"digit_mults must be len(a) * len(b) = {mults}")
+    if algorithm == INCREMENTAL and counters["digit_adds"] != adds:
+        raise ValueError(f"digit_adds must be {adds} for these steps")
     return doc

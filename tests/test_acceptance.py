@@ -1,5 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line.  Run with `pytest tests/test_acceptance.py -v -s`.
+Criteria 2, 3 and 4 run on the active backend and again, as their
+``_compiled`` twins, on the compiled kernels.
 
 Every tolerance is exact (these are integer algorithms); the only timing
 assertion is the sub-millisecond bound on the worked example.
@@ -95,6 +97,27 @@ def test_criterion_4_random_large_operands_reproducible():
         f"({rep1.elapsed_s:.1f}s)",
         ok,
     )
+
+
+def on_compiled_kernels(criterion):
+    """The criterion run again on the compiled kernels, through the same
+    kernels.impl swap the backend tests use; it skips only where the
+    compiled_kernels fixture does, with no C compiler."""
+
+    def test(compiled_kernels, monkeypatch):
+        monkeypatch.setattr(kernels, "impl", compiled_kernels)
+        criterion()
+
+    return test
+
+
+test_criterion_2_exhaustive_desk_scale_compiled = on_compiled_kernels(
+    test_criterion_2_exhaustive_desk_scale
+)
+test_criterion_3_base_extension_compiled = on_compiled_kernels(test_criterion_3_base_extension)
+test_criterion_4_random_large_operands_reproducible_compiled = on_compiled_kernels(
+    test_criterion_4_random_large_operands_reproducible
+)
 
 
 def test_criterion_5_mult_count_identity():

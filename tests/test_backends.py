@@ -5,6 +5,7 @@ The compiled module comes from the ``compiled_kernels`` fixture, which builds
 the C source, so these checks run wherever a C compiler exists."""
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,9 @@ from carrymul.trace_io import render_trace_json, render_trace_text
 
 py = _kernels_py
 GOLDEN = Path(__file__).parent / "golden"
+# the smallest int <-> str cap CPython accepts, the longest parse the
+# pure-Python incremental_product makes
+CHUNK = sys.int_info.str_digits_check_threshold
 
 
 @pytest.fixture(params=["python", "compiled"])
@@ -353,15 +357,43 @@ def test_trivial_shapes(backend):
         below_top = g - (g % h or h)
         zero_top = [top] * below_top + [0] * (g - below_top) + [1]
         shapes += [(zero_top, [1], base), ([1], zero_top, base), (zero_top[:below_top], [1], base)]
-    # past CPython's 4300-digit cap on int <-> str in base 10, so a kernel
-    # that parsed more than a limb of glyphs at once would raise here
+    for a, b, base in shapes + chunk_edge_shapes(rng):
+        assert_product(backend, a, b, base)
+
+
+def chunk_edge_shapes(rng):
+    """Operands at the edges of the chunks the pure-Python
+    incremental_product parses a in: CHUNK - 1, CHUNK, CHUNK + 1 and
+    2 * CHUNK + 1 digits, random and all maximal, in bases 10 and 36, as a
+    and as b; and one past CPython's default cap of 4300 digits."""
+    shapes = []
+    for base in (10, 36):
+        short = [base - 1] * 11
+        for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+            for x in (exact_vector(rng, base, n), [base - 1] * n):
+                shapes += [(x, short, base), (short, x, base)]
     huge = exact_vector(rng, 10, 4500)
-    shapes += [(huge, [9] * 19, 10), ([7, 3], huge, 10)]
-    for a, b, base in shapes:
-        product = backend.incremental_product(a, b, base)
-        assert product == backend.incremental(a, b, base)[1]
-        assert value(product, base) == value(a, base) * value(b, base)
-        assert_canonical(product, base)
+    return shapes + [(huge, [9] * 19, 10), ([7, 3], huge, 10)]
+
+
+def assert_product(backend, a, b, base):
+    product = backend.incremental_product(a, b, base)
+    assert product == backend.incremental(a, b, base)[1]
+    assert value(product, base) == value(a, base) * value(b, base)
+    assert_canonical(product, base)
+
+
+def test_incremental_product_under_the_lowest_str_digits_cap(backend):
+    """With CPython's int <-> str cap set as low as it goes, to CHUNK
+    digits, every chunk edge still multiplies: a parse of more than CHUNK
+    glyphs in one int() call would raise here."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(CHUNK)
+    try:
+        for a, b, base in chunk_edge_shapes(random.Random(CHUNK)):
+            assert_product(backend, a, b, base)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def test_spec_helpers_trivial_shapes():

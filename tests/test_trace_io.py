@@ -165,6 +165,33 @@ def test_parse_rejects_malformed_documents():
         parse_trace_document("[1,2,3]")
 
 
+def test_parse_rejects_numbers_that_disagree():
+    """A well-formed document is still rejected when a step's s is not its
+    c_next followed by its r, or a counter is off its closed form by one;
+    zero operands and zero step sums, written "0", count no digits."""
+    incremental = json.loads(render_trace_json(worked_trace()))
+    schoolbook = json.loads(render_trace_json(schoolbook_multiply(n("12"), n("999"))))
+    for good, breakage, reason in (
+        (incremental, lambda d: d["steps"][1].update(s="8367"), "step 1: s must be"),
+        (incremental, lambda d: d["steps"][0].update(s="8639"), "step 0: s must be"),
+        (incremental, lambda d: d["steps"][2].update(s="699"), "step 2: s must be"),
+        (incremental, lambda d: d["counters"].update(digit_mults=13), "digit_mults"),
+        (incremental, lambda d: d["counters"].update(digit_mults=11), "digit_mults"),
+        (incremental, lambda d: d["counters"].update(digit_adds=21), "digit_adds"),
+        (incremental, lambda d: d["counters"].update(digit_adds=19), "digit_adds"),
+        (schoolbook, lambda d: d["counters"].update(digit_mults=7), "digit_mults"),
+        (schoolbook, lambda d: d["counters"].update(digit_mults=5), "digit_mults"),
+    ):
+        doc = json.loads(json.dumps(good))
+        breakage(doc)
+        with pytest.raises(ValueError, match=reason):
+            parse_trace_document(json.dumps(doc))
+    for a, b in (("0", "57"), ("1234", "0"), ("1234", "50"), ("0", "0")):
+        for trace in (incremental_multiply(n(a), n(b)), schoolbook_multiply(n(a), n(b))):
+            text = render_trace_json(trace)
+            assert dumps_canonical(parse_trace_document(text)) == text
+
+
 @pytest.mark.parametrize("base", range(2, 37))
 def test_every_base_round_trips(base):
     """The canonical-number check accepts every glyph of every base."""

@@ -1,6 +1,7 @@
 """scripts/write_bench.py measures each end-to-end metric against its bound,
 worse as positive, for lower- and higher-is-better metrics alike, re-times
-set-up in alternating pairs and records uncommitted trees."""
+set-up in alternating pairs, records uncommitted trees and tells a resolved
+gain from noise."""
 
 import importlib.util
 import json
@@ -105,3 +106,23 @@ def test_setup_pairs_are_retimed_and_dirty_trees_recorded(write_bench, tmp_path,
     assert entry["parent_q1_median_q3"] == pytest.approx([0.01975, 0.0205, 0.02125])
     assert entry["worse_by"] == pytest.approx(0.0165 / 0.0205 - 1)
     assert entry["within_bound"] and entry["bound"] == 0.25
+
+
+def test_a_gain_is_resolved_by_pairs_won_and_the_parent_iqr(write_bench):
+    """gain_resolved needs the change to win at least 9 of 10 pairs and to
+    beat the parent's median by more than the parent's interquartile range
+    (4.5 here), in the metric's better direction."""
+    parent = list(range(10, 20))
+    cases = {
+        "all pairs, past the IQR": ("lower", [p - 6 for p in parent], True),
+        "9 of 10 pairs": ("lower", [p - 6 for p in parent[:9]] + [20], True),
+        "8 of 10 pairs": ("lower", [p - 6 for p in parent[:8]] + [19, 20], False),
+        "all pairs, inside the IQR": ("lower", [p - 1 for p in parent], False),
+        "higher is better": ("higher", [p + 6 for p in parent], True),
+        "higher, but worse": ("higher", [p - 6 for p in parent], False),
+    }
+    for name, (better, change, resolved) in cases.items():
+        spec = {"name": name, "unit": "u", "better": better, "bound": 0.25}
+        entry = write_bench.compare({"parent": parent, "change": change}, spec)
+        assert entry["parent_q1_median_q3"] == pytest.approx([12.25, 14.5, 16.75])
+        assert entry["gain_resolved"] is resolved, name
