@@ -154,8 +154,9 @@ def incremental(a, b, base):
 LIMB_LIMIT = 1 << 30
 PIECE_LIMIT = 1 << 11
 # the smallest cap CPython lets int <-> str conversion take (640), so a parse
-# of at most CHUNK glyphs never raises, whatever the cap is set to
-CHUNK = sys.int_info.str_digits_check_threshold
+# of at most CHUNK glyphs never raises, whatever the cap is set to; Pythons
+# before 3.10.7 have no cap and no such field
+CHUNK = getattr(sys.int_info, "str_digits_check_threshold", 640)
 # digit v -> its glyph, the text int(glyphs, base) parses; bytes 36..255
 # map to 0xFF, which int() rejects
 GLYPHS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"\xff")
