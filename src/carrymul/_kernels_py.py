@@ -9,13 +9,14 @@ helpers, add and mul_by_digit among them, live here only.
 
 Every kernel works digit by digit except incremental_product, the kernel
 behind ``multiply``: it runs the paper's step in radix base**g, with
-base**g < 2**30 (``limb_radix``), holding a and its one carry as Python
-ints, so CPython's C limb loops multiply and divide them.  It converts
-between digits and limbs only at its edges, and there in C-level calls
-too: a is parsed from glyph text by one ``int(glyphs, base)`` per chunk
-of at most ``CHUNK`` (640) glyphs, each limb of b by one per step, and
-each emitted limb is written as ceil(g/h) lookups of h digits in a
-per-base table (``piece_table``).  incremental (the trace),
+base**g < 2**30 (``limb_radix``), over up to ``STEP_LIMBS`` (12) limbs of
+b at once, holding a and its one carry as Python ints, so CPython's C limb
+loops multiply and divide them.  It converts between digits and limbs
+only at its edges, and there in C-level calls too: a is parsed from glyph
+text by one ``int(glyphs, base)`` per chunk of at most ``CHUNK`` (640)
+glyphs, b by one ``int()`` per super-limb of up to 12 limbs, and each
+emitted limb is written as ceil(g/h) lookups of h digits in a per-base
+table (``piece_table``).  incremental (the trace),
 check_invariant (verify) and the counters stay digit-level, since they
 audit the "same digit work" claim.
 
@@ -157,6 +158,9 @@ PIECE_LIMIT = 1 << 11
 # of at most CHUNK glyphs never raises, whatever the cap is set to; Pythons
 # before 3.10.7 have no cap and no such field
 CHUNK = getattr(sys.int_info, "str_digits_check_threshold", 640)
+# the most limbs of b that one incremental_product step takes; a step's
+# parse is then at most 12 * 29 = 348 glyphs, below CHUNK
+STEP_LIMBS = 12
 # digit v -> its glyph, the text int(glyphs, base) parses; bytes 36..255
 # map to 0xFF, which int() rejects
 GLYPHS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"\xff")
@@ -168,9 +172,10 @@ def limb_radix(base):
     per base on first use.
 
     g is 29/9/7/5 for bases 2/10/16/36.  A limb of g digits is then one
-    CPython int digit (one uint32_t in C), so multiplying by a limb, and
-    dividing by base**g, take CPython's single-digit paths; in C a limb
-    product plus two limbs stays below 2**60.
+    CPython int digit, so multiplying by a limb, and dividing by base**g,
+    take CPython's single-digit paths.  The C kernel, which has no such
+    path to keep, lets base**g reach 2**30: its g is one larger in bases 2,
+    4, 8 and 32 (30/15/10/6).
     """
     g, radix = 1, base
     while radix * base < LIMB_LIMIT:
@@ -181,50 +186,63 @@ def limb_radix(base):
 
 @cache
 def piece_table(base):
-    """(h, rows, top_rows), built once per base on first use: h is the
-    largest count with base**h <= 2**11, capped at g (``limb_radix``), and
-    rows[v] is the h little-endian digits of v < base**h, as bytes.  A limb
-    is written as ceil(g/h) pieces of h digits, low first; when h does not
-    divide g, its top g mod h digits come from top_rows, the rows with that
-    many digits (top_rows is rows otherwise).
+    """(h, top_rows, spans), built once per base on first use.
+
+    A limb of g digits (``limb_radix``) is written as ceil(g/h) pieces, low
+    first: h is the largest count with base**h <= 2**11, capped at g, and
+    every piece has h digits but the top one, which has the g mod h digits
+    left when h does not divide g.  A piece's rows[v] is the little-endian
+    digits of v < base**(its digits), as bytes; top_rows are the top
+    piece's.  spans[t], for t in 1..STEP_LIMBS, is (base**(g*t), layout):
+    the layout is the (divisor, rows) pairs that split t limbs, held as one
+    int x, up to their top piece, by ``x, low = divmod(x, divisor)`` and a
+    lookup of rows[low] each; x is then the top piece.
     """
-    g = limb_radix(base)[0]
+    g, radix = limb_radix(base)
     digits = [bytes((d,)) for d in range(base)]
     levels = [[b""]]  # levels[j]: the rows of j digits
     while len(levels) <= g and len(levels[-1]) * base <= PIECE_LIMIT:
         levels.append([d + row for row in levels[-1] for d in digits])
     h = len(levels) - 1
-    return h, levels[h], levels[g % h or h]
+    top = g % h or h
+    limb = ((base**h, levels[h]),) * ((g - 1) // h) + ((base**top, levels[top]),)
+    spans = [(radix**t, (limb * t)[:-1]) for t in range(STEP_LIMBS + 1)]
+    return h, levels[top], spans
 
 
 def incremental_product(a, b, base):
     """The product of ``incremental`` alone, holding a and one carry as ints.
 
-    This is the paper's step run in radix R = base**g (see ``limb_radix``),
-    one step per limb of b: ``carry, r = divmod(A * b_k + carry, R)``.  The
-    low limb r is emitted and the carry, below A, goes on to the next step;
-    after the last step the carry is split into limbs by the same divmod.
-    CPython's own limb loops do the multiply and the divide, with R one int
-    digit.  No step's sum or carry is kept and no counters are returned:
-    ``incremental``, the trace, verify and the counters stay digit-level.
+    This is the paper's step run in radix R = base**g (see ``limb_radix``)
+    over a super-limb B_j of t limbs of b at once, in radix R**t:
+    ``carry, r = divmod(A * B_j + carry, R**t)``.  The low t limbs r are
+    emitted and the carry, below A, goes on to the next step; after the
+    last step the carry is split one limb at a time by ``divmod(carry, R)``.
+    The method does not depend on the radix (Knuth, TAOCP Vol. 2 §4.3.1),
+    and CPython's own limb loops do the multiply and the divide.  b's n
+    limbs are cut into ceil(n / STEP_LIMBS) super-limbs of equal width,
+    t = ceil(n / ceil(n / STEP_LIMBS)) limbs each, so b is padded by fewer
+    zero limbs than there are steps.  No step's sum or carry is kept and no
+    counters are returned: ``incremental``, the trace, verify and the
+    counters stay digit-level.
 
     Digits cross into ints as glyph text: a and b are each translated once
     into their glyphs, high digit first.  A is parsed in chunks of at most
     ``CHUNK`` glyphs, one ``int(glyphs, base)`` each, the short head chunk
     first, and the chunks are joined by Horner's rule in radix
     base**CHUNK (Knuth, TAOCP Vol. 2 §4.4).  b is padded with zero glyphs
-    to whole limbs, and its limbs are parsed as the steps run, one
-    ``int()`` of g glyphs per step, low limb first.  No parse exceeds
-    CHUNK glyphs, so CPython's cap on int <-> str digits never applies.
-    Each emitted limb is written into one bytearray as ceil(g/h) lookups in
-    ``piece_table``.
+    to whole super-limbs, parsed as the steps run, one ``int()`` per
+    super-limb of up to 12 limbs, low first.  No parse exceeds CHUNK
+    glyphs, so CPython's cap on int <-> str digits never applies.  Each
+    step's r is written into one bytearray straight from the super-limb,
+    t * ceil(g/h) lookups in ``piece_table``, with no split into limbs
+    first.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
-    g, radix = limb_radix(base)
-    h, rows, top_rows = piece_table(base)
-    divisors = (base**h,) * ((g - 1) // h)  # one per piece below the top
+    g = limb_radix(base)[0]
+    _, top_rows, spans = piece_table(base)
     glyphs = bytes(reversed(a)).translate(GLYPHS)
     head = (la - 1) % CHUNK + 1
     big_a = int(glyphs[:head], base)
@@ -232,18 +250,26 @@ def incremental_product(a, b, base):
         chunk_radix = base**CHUNK
         for i in range(head, la, CHUNK):
             big_a = big_a * chunk_radix + int(glyphs[i : i + CHUNK], base)
-    k = (lb + g - 1) // g * g  # b's glyphs not yet stepped over
+    n = (lb + g - 1) // g  # limbs of b
+    t = -(-n // -(-n // STEP_LIMBS))  # limbs per step: equal widths
+    w = t * g
+    k = -(-n // t) * w  # b's glyphs not yet stepped over
     glyphs = bytes(reversed(b)).translate(GLYPHS).rjust(k, b"0")
+    radix, pieces = spans[t]
     out = bytearray()
     carry = 0
-    while k or carry:
-        if k:
-            carry, r = divmod(big_a * int(glyphs[k - g : k], base) + carry, radix)
-            k -= g
-        else:  # the steps are done: split the carry into limbs
-            carry, r = divmod(carry, radix)
-        for piece in divisors:
-            r, low = divmod(r, piece)
+    while k:
+        carry, r = divmod(big_a * int(glyphs[k - w : k], base) + carry, radix)
+        k -= w
+        for divisor, rows in pieces:
+            r, low = divmod(r, divisor)
+            out += rows[low]
+        out += top_rows[r]
+    radix, pieces = spans[1]
+    while carry:  # the steps are done: split the carry one limb at a time
+        carry, r = divmod(carry, radix)
+        for divisor, rows in pieces:
+            r, low = divmod(r, divisor)
             out += rows[low]
         out += top_rows[r]
     del glyphs  # the list below sets the peak: hold no more beside it
@@ -275,18 +301,20 @@ def check_invariant(a, b, steps, base):
         sum(r[i] * base**i for i <= k) + base**(k+1) * carry_out(k)
             == sum((a * b[j]) * base**j for j <= k)
 
+    and the step's printed sum is s = r + base * carry_out(k), by value.
     The right side is recomputed from a and b alone, in one buffer: step k
     adds a * b[k] in place at offset k, so digit k is final from then on.
-    Only the emitted digit and carry of each step are read back from the
+    The sum, emitted digit and carry of each step are read back from the
     steps (they are what is being checked).  So step k holds iff every
-    r[i] (i <= k) equals digit i, latched, and the carry equals the digits
-    above k by value (high zeros ignored): O(len(a)) work per step.
+    r[i] (i <= k) equals digit i, latched, the carry equals the digits
+    above k by value (high zeros ignored), and s equals r followed by those
+    digits, by value: O(len(a)) work per step, with no multiply.
     """
     la, lb = len(a), len(b)
     rhs = [0] * (la + lb)
     low_ok = True
     flags = []
-    for k, (_, r, carry) in enumerate(steps):
+    for k, (s, r, carry) in enumerate(steps):
         if k >= lb:
             flags.append(False)
             continue
@@ -297,7 +325,11 @@ def check_invariant(a, b, steps, base):
         rhs[k + la] = c
         low_ok = low_ok and r == rhs[k]
         high = strip_high_zeros(rhs[k + 1 : k + la + 1])
-        flags.append(low_ok and strip_high_zeros(list(carry)) == high)
+        flags.append(
+            low_ok
+            and strip_high_zeros(list(carry)) == high
+            and strip_high_zeros(list(s)) == strip_high_zeros([r, *high])
+        )
     return flags
 
 

@@ -26,6 +26,7 @@
 
 #define MAX_BASE 36
 #define LIMB_LIMIT (UINT64_C(1) << 30)
+#define SEQ(o) (PyList_Check(o) || PyTuple_Check(o))
 
 typedef unsigned char u8;  /* one digit */
 
@@ -106,15 +107,15 @@ shifted_row(const u8 *x, Py_ssize_t lx, int d, Py_ssize_t j, u8 *row, int base)
 
 /* -- limbs: g digits in one uint32_t --------------------------------------- */
 
-/* g and base**g for the largest g with base**g < 2**30, as
-   _kernels_py.limb_radix.  A limb product plus two limbs then stays below
-   2**60, so one uint64_t holds every partial value of a limb step. */
+/* g and base**g for the largest g with base**g <= 2**30: one more digit
+   than _kernels_py.limb_radix in bases 2, 4, 8 and 32.  A limb product plus
+   two limbs stays below 2**60, so a uint64_t holds a limb step's values. */
 static int
 limb_radix(int base, uint32_t *radix)
 {
     int g = 1;
     uint32_t r = (uint32_t)base;
-    while ((uint64_t)r * base < LIMB_LIMIT) {
+    while ((uint64_t)r * base <= LIMB_LIMIT) {
         r *= (uint32_t)base;
         g++;
     }
@@ -163,18 +164,6 @@ read_digit(PyObject *o, int base, u8 *dst)
     return 0;
 }
 
-/* Read every item of a PySequence_Fast result into dst. */
-static int
-read_items(PyObject *fast, int base, u8 *dst)
-{
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < n; i++)
-        if (read_digit(items[i], base, &dst[i]) < 0)
-            return -1;
-    return 0;
-}
-
 static u8 *
 alloc(Py_ssize_t n)
 {
@@ -184,19 +173,21 @@ alloc(Py_ssize_t n)
     return x;
 }
 
-/* A new buffer holding the digits of seq, with room for extra more. */
+/* A new buffer holding the digits of seq. */
 static u8 *
-load(PyObject *seq, int base, Py_ssize_t extra, Py_ssize_t *n)
+load(PyObject *seq, int base, Py_ssize_t *n)
 {
     PyObject *fast = PySequence_Fast(seq, "digits must be a list or tuple");
     if (fast == NULL)
         return NULL;
     *n = PySequence_Fast_GET_SIZE(fast);
-    u8 *x = alloc(*n + extra);
-    if (x != NULL && read_items(fast, base, x) < 0) {
-        PyMem_Free(x);
-        x = NULL;
-    }
+    u8 *x = alloc(*n);
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    for (Py_ssize_t i = 0; x != NULL && i < *n; i++)
+        if (read_digit(items[i], base, &x[i]) < 0) {
+            PyMem_Free(x);
+            x = NULL;
+        }
     Py_DECREF(fast);
     return x;
 }
@@ -256,8 +247,8 @@ run_incremental(const char *name, PyObject *const *args, Py_ssize_t nargs,
     u8 *a = NULL, *b = NULL, *t = NULL, *out = NULL;
     PyObject *steps = NULL, *res = NULL;
     if (parse(name, nargs, 3, args, &base) < 0
-        || !(a = load(args[0], base, 0, &la))
-        || !(b = load(args[1], base, 0, &lb))
+        || !(a = load(args[0], base, &la))
+        || !(b = load(args[1], base, &lb))
         || !(t = alloc(la + 1)) || !(out = alloc(la + lb + 2))
         || !(steps = PyList_New(lb)))
         goto done;
@@ -307,11 +298,11 @@ py_incremental_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* The result of py_incremental without its steps: the paper's step in
-   radix base**g, as _kernels_py.incremental_product runs it on two ints,
-   here on arrays of n limbs.  Step k runs A * (limb k of b) + carry from
-   the low limb up; the low limb of the sum goes to out[k..k+g) and the
-   limbs above it, each one place lower, are the next carry.  The last
-   carry's limbs are unpacked above the emitted ones. */
+   radix base**g (_kernels_py.incremental_product runs it on ints, over up
+   to 8 limbs of b per step), here on arrays of n limbs.  Step k runs
+   A * (limb k of b) + carry from the low limb up; the low limb of the sum
+   goes to out[k..k+g) and the limbs above it, each one place lower, are
+   the next carry.  The last carry's limbs are unpacked above the rest. */
 static PyObject *
 py_incremental_product(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -322,8 +313,8 @@ py_incremental_product(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     uint32_t *limbs = NULL, *carry;
     PyObject *res = NULL;
     if (parse("incremental_product", nargs, 3, args, &base) < 0
-        || !(a = load(args[0], base, 0, &la))
-        || !(b = load(args[1], base, 0, &lb)))
+        || !(a = load(args[0], base, &la))
+        || !(b = load(args[1], base, &lb)))
         goto done;
     if (la == 0 || lb == 0) {
         res = PyList_New(0);
@@ -372,8 +363,8 @@ py_schoolbook(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     u8 *a = NULL, *b = NULL, *row = NULL, *acc = NULL;
     PyObject *rows = NULL, *res = NULL;
     if (parse("schoolbook", nargs, 3, args, &base) < 0
-        || !(a = load(args[0], base, 0, &la))
-        || !(b = load(args[1], base, 0, &lb))
+        || !(a = load(args[0], base, &la))
+        || !(b = load(args[1], base, &lb))
         || !(row = alloc(la + lb + 1)) || !(acc = alloc(la + lb + 2))
         || !(rows = PyList_New(lb)))
         goto done;
@@ -398,13 +389,14 @@ done:
     return res;
 }
 
-/* steps holds (s, r, carry) tuples whose carry is a list or tuple, as the
-   incremental kernels make them.  rhs accumulates a * b[j] * base**j from a
-   and b alone: step k adds a * b[k] at offset k, after which rhs[k] is
-   final.  So step k holds iff r_0..r_k equal rhs[0..k] (latched in low_ok)
-   and the carry equals rhs[k+1..k+la] by value.  Every r and carry digit
-   of steps below len(b) is read, mismatch or not, so a bad digit always
-   raises. */
+/* steps holds (s, r, carry) tuples whose s and carry are lists or tuples,
+   as the incremental kernels make them.  rhs accumulates a * b[j] * base**j
+   from a and b alone: step k adds a * b[k] at offset k, after which rhs[k]
+   is final.  So step k holds iff r_0..r_k equal rhs[0..k] (latched in
+   low_ok), the carry equals rhs[k+1..k+la] and s equals rhs[k..k+la] by
+   value, which then makes s = r + base * carry.  Every r, carry and s
+   digit of steps below len(b) is read, mismatch or not, so a bad digit
+   always raises. */
 static PyObject *
 py_check_invariant(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -413,8 +405,8 @@ py_check_invariant(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     u8 *a = NULL, *b = NULL, *rhs = NULL;
     PyObject *steps = NULL, *flags = NULL, *res = NULL;
     if (parse("check_invariant", nargs, 4, args, &base) < 0
-        || !(a = load(args[0], base, 0, &la))
-        || !(b = load(args[1], base, 0, &lb))
+        || !(a = load(args[0], base, &la))
+        || !(b = load(args[1], base, &lb))
         || !(steps = PySequence_Fast(args[2], "steps must be a list"))
         || !(rhs = alloc(la + lb)))
         goto done;
@@ -423,32 +415,36 @@ py_check_invariant(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (!(flags = PyList_New(n)))
         goto done;
     for (Py_ssize_t k = 0; k < n; k++) {
-        PyObject *step = PySequence_Fast_GET_ITEM(steps, k), *carry;
+        PyObject *step = PySequence_Fast_GET_ITEM(steps, k), *seq[2];
         if (!PyTuple_Check(step) || PyTuple_GET_SIZE(step) != 3
-            || !(PyList_Check(carry = PyTuple_GET_ITEM(step, 2))
-                 || PyTuple_Check(carry))) {
+            || !SEQ(seq[0] = PyTuple_GET_ITEM(step, 2))
+            || !SEQ(seq[1] = PyTuple_GET_ITEM(step, 0))) {
             PyErr_SetString(PyExc_TypeError, "a step must be (s, r, carry)");
             goto done;
         }
         int ok = 0;
         if (k < lb) {  /* later steps have no multiplier digit: False */
-            u8 r, *high = rhs + k + 1;
+            u8 r;
             if (read_digit(PyTuple_GET_ITEM(step, 1), base, &r) < 0)
                 goto done;
             mul_add_into(a, la, b[k], rhs + k, base);
             low_ok &= r == rhs[k];
             ok = low_ok;
-            /* compare by value: digits past either end count as zeros */
-            Py_ssize_t lc = PySequence_Fast_GET_SIZE(carry), i;
-            PyObject **items = PySequence_Fast_ITEMS(carry);
-            for (i = 0; i < lc; i++) {
-                u8 digit;
-                if (read_digit(items[i], base, &digit) < 0)
-                    goto done;
-                ok &= digit == (i < la ? high[i] : 0);
+            /* the carry (j = 0) against rhs[k+1..], then s (j = 1) against
+               rhs[k..], by value: digits past either end count as zeros */
+            for (Py_ssize_t j = 0, lx = la; j < 2; j++, lx++) {
+                const u8 *x = rhs + k + 1 - j;
+                Py_ssize_t lv = PySequence_Fast_GET_SIZE(seq[j]), i;
+                PyObject **items = PySequence_Fast_ITEMS(seq[j]);
+                for (i = 0; i < lv; i++) {
+                    u8 digit;
+                    if (read_digit(items[i], base, &digit) < 0)
+                        goto done;
+                    ok &= digit == (i < lx ? x[i] : 0);
+                }
+                for (; i < lx; i++)
+                    ok &= x[i] == 0;
             }
-            for (; i < la; i++)
-                ok &= high[i] == 0;
         }
         PyList_SET_ITEM(flags, k, PyBool_FromLong(ok));
     }
@@ -476,8 +472,8 @@ py_oracle_mul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     u8 *a = NULL, *b = NULL, *dbl = NULL, *out = NULL;
     PyObject *res = NULL;
     if (parse("oracle_mul", nargs, 3, args, &base) < 0
-        || !(a = load(args[0], base, 0, &la))
-        || !(b = load(args[1], base, 0, &lb))
+        || !(a = load(args[0], base, &la))
+        || !(b = load(args[1], base, &lb))
         || !(dbl = alloc(6 * (la + 6))) || !(out = alloc(la + lb)))
         goto done;
     memcpy(dbl, a, la);

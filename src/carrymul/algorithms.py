@@ -15,11 +15,13 @@ the work can be replayed, rendered and audited; they, ``check_invariant``
 and the operation counters stay digit-level.  ``multiply`` returns the
 product alone: for the incremental algorithm it runs a kernel that records
 nothing and runs the same step in radix base**g, with g digits per limb and
-base**g < 2**30.  It holds the multiplicand and its one carry as two ints,
-plus the output, so its memory stays linear in the operand lengths; digits
-become ints by ``int()`` parses of glyph text, one per chunk of at most 640
-glyphs of the multiplicand and one per limb of the multiplier, and limbs
-become digits by table lookups (see ``_kernels_py.incremental_product``).
+base**g < 2**30, over up to 12 limbs of the multiplier per step.  It holds
+the multiplicand and its one carry as two ints, plus the output, so its
+memory stays linear in the operand lengths; digits become ints by ``int()``
+parses of glyph text, one per chunk of at most 640 glyphs of the
+multiplicand and one per super-limb of up to 12 limbs of the multiplier,
+and limbs become digits by table lookups (see
+``_kernels_py.incremental_product``).
 """
 
 from carrymul import kernels
@@ -98,14 +100,18 @@ def check_invariant(trace: Trace) -> list[bool]:
 
     Entry k is True iff the digits emitted through step k plus the shifted
     outgoing carry equal the product of the multiplicand with the low k+1
-    digits of the multiplier.  Both sides are recomputed with exact
-    digit-vector arithmetic; only each step's emitted digit and carry are
-    read back, never its recorded sum.
+    digits of the multiplier, and the step's recorded sum equals its emitted
+    digit plus base times that carry.  The right side is recomputed from
+    the multiplicand and the multiplier alone with exact digit-vector
+    arithmetic; each step's sum, emitted digit and carry are only read back
+    and compared.
     """
     if trace.algorithm != INCREMENTAL:
         raise WrongAlgorithm(trace.algorithm)
-    # the kernels read a, b and each carry in trace.base (a Trace has a base)
-    for n in (trace.a, trace.b, *[s.c_next for s in trace.steps]):
+    # the kernels read a, b and each sum and carry in trace.base (a Trace
+    # has a base)
+    steps = trace.steps
+    for n in (trace.a, trace.b, *[s.s for s in steps], *[s.c_next for s in steps]):
         require_same_base(n, trace)
     # r is a bare int a caller may have set; s and c_next are Naturals
     check_digits([s.r for s in trace.steps], trace.base)

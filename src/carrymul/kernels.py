@@ -6,16 +6,17 @@ kernels that ``multiply``, ``trace`` and ``verify`` run: ``incremental``,
 ``incremental_product``, ``check_invariant`` and ``oracle_mul``, over
 little-endian digit lists or tuples (see ``_kernels_py`` for the output rule
 and the counters).  ``incremental_product``, which ``multiply`` runs,
-works in radix base**g (g digits per limb, base**g < 2**30) in both
-backends: the pure-Python one holds the multiplicand and its one carry as
-two ints, parses the multiplicand from glyph text with one ``int()``
-call per chunk of at most 640 glyphs and each multiplier limb with one per
-step, and writes each emitted limb as a few table lookups; the C one holds
-uint32_t limb arrays.  The trace, verify and the
-counters stay digit-level.  The other helpers (``add``, ``mul_by_digit``,
-``strip_high_zeros``, ``divmod_base``, ``shift``, and ``tally``, which
-reads either backend's incremental steps) exist only in ``_kernels_py``
-and are called from there directly.
+works in radix base**g (g digits per limb) in both backends: the
+pure-Python one, with base**g < 2**30, holds the multiplicand and its one
+carry as two ints, parses the multiplicand from glyph text with one
+``int()`` call per chunk of at most 640 glyphs and the multiplier with one
+per super-limb of up to 12 limbs, which one step takes at once, and writes
+each emitted limb as a few table lookups; the C one, with base**g <= 2**30,
+holds uint32_t limb arrays and steps one limb at a time.  The trace, verify
+and the counters stay digit-level.  The other helpers (``add``,
+``mul_by_digit``, ``strip_high_zeros``, ``divmod_base``, ``shift``, and
+``tally``, which reads either backend's incremental steps) exist only in
+``_kernels_py`` and are called from there directly.
 
 The kernels are internal and unchecked: only digits that a public entry
 point has already validated may reach them, and the two backends need not

@@ -154,8 +154,8 @@ def test_check_invariant_rejects_out_of_range_digit(request, monkeypatch):
 
 
 def test_check_invariant_rejects_values_outside_the_trace_base(request, monkeypatch):
-    """a, b or a carry in another base fails alike on both backends: Python
-    used to return flags where C raised a bare ValueError."""
+    """a, b, a carry or a step sum in another base fails alike on both
+    backends: Python used to return flags where C raised a bare ValueError."""
     trace = incremental_multiply(n("12"), n("34"))
     s0, s1 = trace.steps
 
@@ -166,6 +166,7 @@ def test_check_invariant_rejects_values_outside_the_trace_base(request, monkeypa
         traced(7, n("9"), n("9"), ()),
         traced(10, trace.a, n("34", 16), trace.steps),
         traced(10, trace.a, trace.b, (s0, StepRecord(s1.k, s1.s, s1.r, n("f", 16)))),
+        traced(10, trace.a, trace.b, (s0, StepRecord(s1.k, n("f", 16), s1.r, s1.c_next))),
     )
     for backend in ("python", "compiled"):
         if backend == "python":

@@ -154,15 +154,23 @@ def test_backends_agree_on_corrupted_steps(compiled_kernels):
     expected = [True, True, False, False]
     assert py.check_invariant([4, 3, 2, 1], [7, 6, 5], steps, 10) == expected
     assert cy.check_invariant([4, 3, 2, 1], [7, 6, 5], steps, 10) == expected
+    # a printed sum that disagrees with its r and carry:
+    # S_0 = 1234 x 7 = 9639; r_0 = 8; c_1 = 863
+    steps, _, _, _ = py.incremental([4, 3, 2, 1], [7, 6, 5], 10)
+    steps[0] = ([9, 3, 6, 9], 8, [3, 6, 8])
+    expected = [False, True, True]
+    assert py.check_invariant([4, 3, 2, 1], [7, 6, 5], steps, 10) == expected
+    assert cy.check_invariant([4, 3, 2, 1], [7, 6, 5], steps, 10) == expected
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])
 @pytest.mark.parametrize("la, lb", [(1, 9), (9, 1), (9, 9)], ids=["1xn", "nx1", "nxn"])
 def test_check_invariant_mutation_sweep(backend, base, la, lb):
-    """Corrupt every step digit and every carry of seeded traces in turn.
-    A bad r_k breaks the prefix, so steps k..end fail; a bad carry out of
-    step k is read by step k alone, because the right side is rebuilt from
-    a and b; a high zero on a carry leaves its value, so nothing fails."""
+    """Corrupt every step digit, every carry and every sum of seeded traces
+    in turn.  A bad r_k breaks the prefix, so steps k..end fail; a bad carry
+    out of step k, or a bad s_k, is read by step k alone, because the right
+    side is rebuilt from a and b; a high zero on a carry or a sum leaves its
+    value, so nothing fails."""
     rng = random.Random(base * 100 + la * 10 + lb)
     for _ in range(4):
         a, b = exact_vector(rng, base, la), exact_vector(rng, base, lb)
@@ -185,13 +193,19 @@ def test_check_invariant_mutation_sweep(backend, base, la, lb):
                 assert flags(bad) == [i != k for i in range(n)]
             bad[k] = (s, r, carry + [0])
             assert flags(bad) == [True] * n
+            for j, d in enumerate(s or [0]):  # an empty sum becomes 1
+                bad[k] = (s[:j] + [(d + 1) % base] + s[j + 1 :], r, carry)
+                assert flags(bad) == [i != k for i in range(n)]
+            bad[k] = (s + [0], r, carry)
+            assert flags(bad) == [True] * n
 
 
 @st.composite
 def checker_inputs(draw):
     """Operands, and a step list that starts from the true trace and then
-    swaps in arbitrary in-range digits: any r, carries of any length (empty
-    and with high zeros included), and steps past the last multiplier digit."""
+    swaps in arbitrary in-range digits: any r, carries and sums of any
+    length (empty and with high zeros included), and steps past the last
+    multiplier digit."""
     base = draw(st.integers(2, 36))
     digit = st.integers(0, base - 1)
     a = py.strip_high_zeros(draw(st.lists(digit, max_size=8)))
@@ -206,6 +220,9 @@ def checker_inputs(draw):
                 st.lists(digit, max_size=len(a) + 2),
             )
         )
+        s = draw(
+            st.one_of(st.just(s), st.just(s + [0]), st.lists(digit, max_size=len(a) + 2))
+        )
         steps.append((s, r, carry))
     extra = st.tuples(st.just([]), digit, st.lists(digit, max_size=3))
     steps += draw(st.lists(extra, max_size=2))
@@ -215,15 +232,17 @@ def checker_inputs(draw):
 @settings(max_examples=300)
 @given(checker_inputs())
 def test_check_invariant_matches_int_arithmetic(compiled_kernels, inputs):
-    """Flag k holds iff k < len(b) and the emitted digits through step k
-    plus base**(k+1) times its carry equal a times b mod base**(k+1)."""
+    """Flag k holds iff k < len(b), the emitted digits through step k plus
+    base**(k+1) times its carry equal a times b mod base**(k+1), and its sum
+    is s = r + base * carry."""
     a, b, steps, base = inputs
     va, vb = value(a, base), value(b, base)
     expected = []
-    for k, (_, _, carry) in enumerate(steps):
+    for k, (s, r, carry) in enumerate(steps):
         low = sum(step[1] * base**i for i, step in enumerate(steps[: k + 1]))
         lhs = low + base ** (k + 1) * value(carry, base)
-        expected.append(k < len(b) and lhs == va * (vb % base ** (k + 1)))
+        sum_ok = value(s, base) == r + base * value(carry, base)
+        expected.append(k < len(b) and lhs == va * (vb % base ** (k + 1)) and sum_ok)
     assert py.check_invariant(a, b, steps, base) == expected
     assert compiled_kernels.check_invariant(a, b, steps, base) == expected
 
@@ -335,21 +354,22 @@ def test_trivial_shapes(backend):
         ([9], long, 10),
     ]
     # limb edges of incremental_product, which packs g digits per limb and
-    # writes each limb as pieces of h digits
+    # writes each limb as pieces of h digits; the C kernel's g is its own
     for base in all_bases():
         g = py.limb_radix(base)[0]
         h = py.piece_table(base)[0]
         top = base - 1  # every digit maximal: the largest carries
-        full = [[top] * n for n in (g - 1, g, g + 1, 2 * g + 1)]
-        zero_low_limb = [0] * g + [1]
-        shapes += [(a, b, base) for a in full for b in full]
-        shapes += [
-            (zero_low_limb, zero_low_limb, base),
-            (zero_low_limb, full[-1], base),
-            (full[-1], zero_low_limb, base),
-            ([top], full[-1], base),
-            (full[-1], [top], base),
-        ]
+        for limb in {g, c_limb_digits(base)}:
+            full = [[top] * n for n in (limb - 1, limb, limb + 1, 2 * limb + 1)]
+            zero_low_limb = [0] * limb + [1]
+            shapes += [(a, b, base) for a in full for b in full]
+            shapes += [
+                (zero_low_limb, zero_low_limb, base),
+                (zero_low_limb, full[-1], base),
+                (full[-1], zero_low_limb, base),
+                ([top], full[-1], base),
+                (full[-1], [top], base),
+            ]
         # piece boundaries inside a limb: h*j - 1, h*j and h*j + 1 digits
         for n in {h * j + e for j in range(1, -(-g // h) + 1) for e in (-1, 0, 1)}:
             shapes += [([top] * n, [1], base), ([1], [top] * n, base), ([top] * n, [top], base)]
@@ -357,8 +377,33 @@ def test_trivial_shapes(backend):
         below_top = g - (g % h or h)
         zero_top = [top] * below_top + [0] * (g - below_top) + [1]
         shapes += [(zero_top, [1], base), ([1], zero_top, base), (zero_top[:below_top], [1], base)]
-    for a, b, base in shapes + chunk_edge_shapes(rng):
+    for a, b, base in shapes + chunk_edge_shapes(rng) + super_limb_edge_shapes(rng):
         assert_product(backend, a, b, base)
+
+
+def c_limb_digits(base):
+    """The C kernel's g: the largest with base**g <= 2**30, one more than
+    the pure-Python g in bases 2, 4, 8 and 32, where base**g hits 2**30."""
+    g = 1
+    while base ** (g + 1) <= 1 << 30:
+        g += 1
+    return g
+
+
+def super_limb_edge_shapes(rng):
+    """Operands at the edges of the super-limbs the pure-Python
+    incremental_product steps over, up to STEP_LIMBS limbs of b at once in
+    steps of equal width: L*g - 1, L*g and L*g + 1 digits (L = STEP_LIMBS),
+    and (L + 1)*g + 1, which splits into two equal steps with no zero limb
+    padded; random and all maximal, in every base, as a and as b."""
+    shapes, steps = [], py.STEP_LIMBS
+    for base in all_bases():
+        g, top = py.limb_radix(base)[0], base - 1
+        other = [top] * (2 * g + 1)
+        for n in (steps * g - 1, steps * g, steps * g + 1, (steps + 1) * g + 1):
+            for x in (exact_vector(rng, base, n), [top] * n):
+                shapes += [(x, other, base), (other, x, base)]
+    return shapes
 
 
 def chunk_edge_shapes(rng):
@@ -390,13 +435,34 @@ def test_incremental_product_under_the_lowest_str_digits_cap(backend):
     """With CPython's int <-> str cap set as low as it goes, to CHUNK
     digits, every chunk edge still multiplies: a parse of more than CHUNK
     glyphs in one int() call would raise here."""
+    rng = random.Random(CHUNK)
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(CHUNK)
     try:
-        for a, b, base in chunk_edge_shapes(random.Random(CHUNK)):
+        for a, b, base in chunk_edge_shapes(rng) + super_limb_edge_shapes(rng):
             assert_product(backend, a, b, base)
     finally:
         sys.set_int_max_str_digits(cap)
+
+
+def test_incremental_product_parses_b_once_per_super_limb(monkeypatch):
+    """One int() parse per chunk of a, and one per step of up to
+    STEP_LIMBS limbs of b: at 512 x 512 in base 10, one for a (512 <= CHUNK
+    glyphs) plus ceil(57 / STEP_LIMBS) for b's 57 limbs of 9 digits, where
+    one parse per limb would make 58."""
+    parses = []
+
+    def counting_int(*args):
+        parses.append(args)
+        return int(*args)
+
+    monkeypatch.setattr(py, "int", counting_int, raising=False)
+    rng = random.Random(57)
+    a, b = exact_vector(rng, 10, 512), exact_vector(rng, 10, 512)
+    assert value(py.incremental_product(a, b, 10), 10) == value(a, 10) * value(b, 10)
+    limbs = -(-512 // py.limb_radix(10)[0])
+    assert limbs == 57
+    assert len(parses) == 1 + -(-limbs // py.STEP_LIMBS)
 
 
 def test_spec_helpers_trivial_shapes():
@@ -432,6 +498,9 @@ HOSTILE_CALLS = {
     # step 0 already failed: the bad digit must still be read, not skipped
     "check_invariant.carry_after_mismatch": lambda c, x: c.check_invariant(
         GOOD, GOOD, [(STEPS[0][0], 9, STEPS[0][2]), (STEPS[1][0], STEPS[1][1], [x])], 10
+    ),
+    "check_invariant.s_after_mismatch": lambda c, x: c.check_invariant(
+        GOOD, GOOD, [(STEPS[0][0], 9, STEPS[0][2]), ([x], STEPS[1][1], STEPS[1][2])], 10
     ),
 }
 HOSTILE_DIGITS = [
