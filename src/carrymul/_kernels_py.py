@@ -328,7 +328,7 @@ def check_invariant(a, b, steps, base):
         flags.append(
             low_ok
             and strip_high_zeros(list(carry)) == high
-            and strip_high_zeros(list(s)) == strip_high_zeros([r, *high])
+            and strip_high_zeros(list(s)) == ([r, *high] if r or high else [])
         )
     return flags
 

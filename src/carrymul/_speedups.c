@@ -299,7 +299,7 @@ py_incremental_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 /* The result of py_incremental without its steps: the paper's step in
    radix base**g (_kernels_py.incremental_product runs it on ints, over up
-   to 8 limbs of b per step), here on arrays of n limbs.  Step k runs
+   to 12 limbs of b per step), here on arrays of n limbs.  Step k runs
    A * (limb k of b) + carry from the low limb up; the low limb of the sum
    goes to out[k..k+g) and the limbs above it, each one place lower, are
    the next carry.  The last carry's limbs are unpacked above the rest. */
