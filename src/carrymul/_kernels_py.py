@@ -1,30 +1,24 @@
 """Pure-Python digit-vector kernels.
 
 This is the reference backend and the spec.  ``carrymul._speedups`` (one
-hand-written C file) is a compiled mirror of the six kernels that multiply,
-trace and verify run: incremental, incremental_steps, incremental_product,
-schoolbook, check_invariant and oracle_mul.  On valid input the two must stay
+hand-written C file) is a compiled mirror of the five kernels that multiply,
+trace and verify run: incremental_steps, incremental_product, schoolbook,
+check_invariant and oracle_mul.  On valid input the two must stay
 identical, counters included (see tests/test_backends.py).  The remaining
-helpers, add and mul_by_digit among them, live here only.
+helpers, incremental, tally, add and mul_by_digit among them, live here
+only.
 
 Every kernel works digit by digit except incremental_product, the kernel
-behind ``multiply``: it runs the paper's step in radix base**g, with
-base**g < 2**30 (``limb_radix``), over up to ``STEP_LIMBS`` (12) limbs of
-b at once, holding a and its one carry as Python ints, so CPython's C limb
-loops multiply and divide them.  It converts between digits and limbs
-only at its edges, and there in C-level calls too: a is parsed from glyph
-text by one ``int(glyphs, base)`` per chunk of at most ``CHUNK`` (640)
-glyphs, b by one ``int()`` per super-limb of up to 12 limbs, and each
-emitted limb is written as ceil(g/h) lookups of h digits in a per-base
-table (``piece_table``).  incremental (the trace),
-check_invariant (verify) and the counters stay digit-level, since they
-audit the "same digit work" claim.
+behind ``multiply``: it runs the paper's step on limbs of digits held as
+ints, as its docstring (and the README) describes.  incremental_steps (the
+trace), check_invariant (verify) and the counters stay digit-level, since
+they audit the "same digit work" claim.
 
 The kernels are internal and unchecked: they trust their caller to pass
 canonical digits in 0..base-1, and on anything else their output is
-undefined (``incremental([300], [3], 10)`` returns ``[0, 90]`` here, while
-the C kernels raise).  The checks live at the public entry points
-(``Natural``, ``parse_natural``, ``from_int``,
+undefined (``schoolbook([300], [3], 10)`` returns ``[0, 90]`` as its
+product here, while the C kernels raise).  The checks live at the public
+entry points (``Natural``, ``parse_natural``, ``from_int``,
 ``algorithms.check_invariant``), which reject bad digits alike on both
 backends, so the verify hot path pays for no check.
 

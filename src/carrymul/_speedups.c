@@ -1,21 +1,18 @@
 /* Compiled digit-vector kernels.
 
-   A C mirror of the six kernels of carrymul._kernels_py that multiply,
-   trace and verify run: incremental, incremental_steps,
-   incremental_product, schoolbook, check_invariant and oracle_mul.
-   Each takes and returns the same lists, tuples and counters as its
-   pure-Python spec (see that module for the representation and the
-   counting rules), so the two backends can be compared with ==.  The
-   counters come from lengths the kernels hold: digit_mults = la * lb, and
-   digit_adds = la * lb plus the length of every sum after the first value
-   (each step sum s_k, k >= 1, in incremental; each running sum of rows
-   0..j, j >= 1, in schoolbook).
+   A C mirror of the five kernels of carrymul._kernels_py that multiply,
+   trace and verify run: incremental_steps, incremental_product,
+   schoolbook, check_invariant and oracle_mul.  Each takes and returns the
+   same lists, tuples and counters as its pure-Python spec (see that module
+   for the representation and the counting rules), so the two backends can
+   be compared with ==; incremental_steps returns an iterator, as the spec
+   is a generator.  incremental_product runs the paper's step on limbs of g
+   digits (described in its spec's docstring and in the README); the
+   others work digit by digit.
 
    Bases stop at 36, so a digit fits in a byte.  Every kernel copies its
    operands into byte buffers once, rejecting any digit that is not an int
    in 0..base-1, loops in C and turns only its results back into lists.
-   incremental_product alone loops over limbs of g digits (uint32_t limbs
-   below 2**30, uint64_t partial values); the others loop over digits.
    The digit helpers below may write their output over one of their inputs:
    position i is always read before it is written. */
 
@@ -233,73 +230,75 @@ parse(const char *name, Py_ssize_t nargs, Py_ssize_t want,
 
 /* -- the kernels ---------------------------------------------------------- */
 
-/* The one step loop of incremental and incremental_steps; steps_only picks
-   which of the two results it returns.  Step k writes its sum s over
-   out[k:], where out[k] is the emitted digit and out[k+1:] the carry that
-   step k+1 adds to a * b[k+1].  So out ends up holding the emitted digits
-   followed by the final carry: the product. */
-static PyObject *
-run_incremental(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                int steps_only)
-{
+/* incremental_steps(a, b, base): an iterator over the steps (s, r, carry),
+   made one at a time.  It parses and checks its arguments at the call, so a
+   bad digit raises before any step, and then holds only byte buffers: no
+   Python reference, so no GC support.  Step k writes its sum s over out[k:],
+   where out[k] is the emitted digit and out[k+1:] the carry that step k+1
+   adds to a * b[k+1]. */
+typedef struct {
+    PyObject_HEAD
     int base;
-    Py_ssize_t la, lb, lc = 0, adds;
-    u8 *a = NULL, *b = NULL, *t = NULL, *out = NULL;
-    PyObject *steps = NULL, *res = NULL;
-    if (parse(name, nargs, 3, args, &base) < 0
-        || !(a = load(args[0], base, &la))
-        || !(b = load(args[1], base, &lb))
-        || !(t = alloc(la + 1)) || !(out = alloc(la + lb + 2))
-        || !(steps = PyList_New(lb)))
-        goto done;
-    adds = la * lb;
-    for (Py_ssize_t k = 0; k < lb; k++) {
-        u8 *s = out + k;
-        Py_ssize_t lt = mul_into(a, la, b[k], t, base);
-        Py_ssize_t ls = add_into(t, lt, s, lc, s, base);
-        if (k)  /* step 0 has no carry in: its copy of t is no addition */
-            adds += ls;
-        if (ls == 0)
-            s[0] = 0;
-        lc = ls ? ls - 1 : 0;
-        PyObject *sum = to_list(s, ls);
-        /* "N" takes over each reference, and drops them all on failure */
-        PyObject *step = Py_BuildValue(
-            "(NiN)", sum, s[0], sum ? PyList_GetSlice(sum, 1, ls) : NULL);
-        if (step == NULL)
-            goto done;
-        PyList_SET_ITEM(steps, k, step);
-    }
-    if (steps_only)
-        res = Py_NewRef(steps);
-    else
-        res = Py_BuildValue("(ONnn)", steps, to_list(out, strip(out, lb + lc)),
-                            la * lb, adds);
-done:
-    Py_XDECREF(steps);
-    PyMem_Free(a);
-    PyMem_Free(b);
-    PyMem_Free(t);
-    PyMem_Free(out);
-    return res;
+    Py_ssize_t la, lb, lc, k;
+    u8 *a, *b, *t, *out;
+} Steps;
+
+static void
+steps_dealloc(Steps *it)
+{
+    PyMem_Free(it->a);
+    PyMem_Free(it->b);
+    PyMem_Free(it->t);
+    PyMem_Free(it->out);
+    PyObject_Free(it);
 }
 
 static PyObject *
-py_incremental(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+steps_next(Steps *it)
 {
-    return run_incremental("incremental", args, nargs, 0);
+    if (it->k == it->lb)
+        return NULL;
+    u8 *s = it->out + it->k;
+    Py_ssize_t lt = mul_into(it->a, it->la, it->b[it->k++], it->t, it->base);
+    Py_ssize_t ls = add_into(it->t, lt, s, it->lc, s, it->base);
+    if (ls == 0)
+        s[0] = 0;
+    it->lc = ls ? ls - 1 : 0;
+    PyObject *sum = to_list(s, ls);
+    /* "N" takes over each reference, and drops them all on failure */
+    return Py_BuildValue("(NiN)", sum, s[0],
+                         sum ? PyList_GetSlice(sum, 1, ls) : NULL);
 }
 
-/* The spec yields its steps one at a time; this returns them as a list. */
+static PyTypeObject StepsType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "carrymul._speedups.incremental_steps",
+    .tp_basicsize = sizeof(Steps),
+    .tp_dealloc = (destructor)steps_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = (iternextfunc)steps_next,
+};
+
 static PyObject *
 py_incremental_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    return run_incremental("incremental_steps", args, nargs, 1);
+    Steps *it = PyObject_New(Steps, &StepsType);
+    if (it == NULL)
+        return NULL;
+    it->lc = it->k = 0;
+    it->a = it->b = it->t = it->out = NULL;  /* what steps_dealloc frees */
+    if (parse("incremental_steps", nargs, 3, args, &it->base) < 0
+        || !(it->a = load(args[0], it->base, &it->la))
+        || !(it->b = load(args[1], it->base, &it->lb))
+        || !(it->t = alloc(it->la + 1))
+        || !(it->out = alloc(it->la + it->lb + 2)))
+        Py_CLEAR(it);
+    return (PyObject *)it;
 }
 
-/* The result of py_incremental without its steps: the paper's step in
-   radix base**g (_kernels_py.incremental_product runs it on ints, over up
-   to 12 limbs of b per step), here on arrays of n limbs.  Step k runs
+/* The product of incremental_steps without its steps: the paper's step in
+   radix base**g, here on uint32_t arrays of n limbs.  Step k runs
    A * (limb k of b) + carry from the low limb up; the low limb of the sum
    goes to out[k..k+g) and the limbs above it, each one place lower, are
    the next carry.  The last carry's limbs are unpacked above the rest. */
@@ -389,33 +388,31 @@ done:
     return res;
 }
 
-/* steps holds (s, r, carry) tuples whose s and carry are lists or tuples,
-   as the incremental kernels make them.  rhs accumulates a * b[j] * base**j
-   from a and b alone: step k adds a * b[k] at offset k, after which rhs[k]
-   is final.  So step k holds iff r_0..r_k equal rhs[0..k] (latched in
-   low_ok), the carry equals rhs[k+1..k+la] and s equals rhs[k..k+la] by
-   value, which then makes s = r + base * carry.  Every r, carry and s
-   digit of steps below len(b) is read, mismatch or not, so a bad digit
-   always raises. */
+/* steps is any iterable of (s, r, carry) tuples whose s and carry are
+   lists or tuples, as incremental_steps makes them; it is read one step at
+   a time, and an exception it raises is passed on.  rhs accumulates
+   a * b[j] * base**j from a and b alone: step k adds a * b[k] at offset k,
+   after which rhs[k] is final.  So step k holds iff r_0..r_k equal
+   rhs[0..k] (latched in low_ok), the carry equals rhs[k+1..k+la] and s
+   equals rhs[k..k+la] by value, which then makes s = r + base * carry.
+   Every r, carry and s digit of steps below len(b) is read, mismatch or
+   not, so a bad digit always raises. */
 static PyObject *
 py_check_invariant(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int base, low_ok = 1;
-    Py_ssize_t la, lb, n;
+    Py_ssize_t la, lb;
     u8 *a = NULL, *b = NULL, *rhs = NULL;
-    PyObject *steps = NULL, *flags = NULL, *res = NULL;
+    PyObject *steps = NULL, *step = NULL, *flags = NULL, *res = NULL;
     if (parse("check_invariant", nargs, 4, args, &base) < 0
         || !(a = load(args[0], base, &la))
         || !(b = load(args[1], base, &lb))
-        || !(steps = PySequence_Fast(args[2], "steps must be a list"))
-        || !(rhs = alloc(la + lb)))
+        || !(steps = PyObject_GetIter(args[2]))
+        || !(rhs = alloc(la + lb)) || !(flags = PyList_New(0)))
         goto done;
     memset(rhs, 0, la + lb);
-    n = PySequence_Fast_GET_SIZE(steps);
-    if (!(flags = PyList_New(n)))
-        goto done;
-    for (Py_ssize_t k = 0; k < n; k++) {
-        PyObject *step = PySequence_Fast_GET_ITEM(steps, k), *seq[2];
+    for (Py_ssize_t k = 0; (step = PyIter_Next(steps)); k++) {
+        PyObject *seq[2];
         if (!PyTuple_Check(step) || PyTuple_GET_SIZE(step) != 3
             || !SEQ(seq[0] = PyTuple_GET_ITEM(step, 2))
             || !SEQ(seq[1] = PyTuple_GET_ITEM(step, 0))) {
@@ -446,10 +443,14 @@ py_check_invariant(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                     ok &= x[i] == 0;
             }
         }
-        PyList_SET_ITEM(flags, k, PyBool_FromLong(ok));
+        if (PyList_Append(flags, ok ? Py_True : Py_False) < 0)
+            goto done;
+        Py_CLEAR(step);
     }
-    res = Py_NewRef(flags);
+    if (!PyErr_Occurred())
+        res = Py_NewRef(flags);
 done:
+    Py_XDECREF(step);
     Py_XDECREF(steps);
     Py_XDECREF(flags);
     PyMem_Free(a);
@@ -462,8 +463,9 @@ done:
    _kernels_py.oracle_mul.  The doublings a * 2**i (at most six) sit in
    slots of la + 6 digits.  acc for the digits b[k..] sits at out + k, so
    acc * base is one pointer step down and a zero write.  The oracle never
-   calls mul_into, but it shares add_into with incremental (carry add) and
-   schoolbook (row sum); verify's int route is the one that shares nothing. */
+   calls mul_into, but it shares add_into with incremental_steps (carry
+   add) and schoolbook (row sum); verify's int route is the one that shares
+   nothing. */
 static PyObject *
 py_oracle_mul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -503,8 +505,7 @@ done:
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
-    KERNEL(incremental, "incremental(a, b, base) -> (steps, a * b, mults, adds)"),
-    KERNEL(incremental_steps, "incremental_steps(a, b, base) -> steps"),
+    KERNEL(incremental_steps, "incremental_steps(a, b, base) -> iter of steps"),
     KERNEL(incremental_product, "incremental_product(a, b, base) -> a * b"),
     KERNEL(schoolbook, "schoolbook(a, b, base) -> (rows, a * b, mults, adds)"),
     KERNEL(check_invariant, "check_invariant(a, b, steps, base) -> [bool]"),
@@ -521,5 +522,5 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__speedups(void)
 {
-    return PyModule_Create(&module);
+    return PyType_Ready(&StepsType) < 0 ? NULL : PyModule_Create(&module);
 }

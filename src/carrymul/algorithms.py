@@ -13,18 +13,12 @@ partial-product row first and adds them all at the end.
 ``incremental_multiply`` and ``schoolbook_multiply`` record a full Trace so
 the work can be replayed, rendered and audited; they, ``check_invariant``
 and the operation counters stay digit-level.  ``multiply`` returns the
-product alone: for the incremental algorithm it runs a kernel that records
-nothing and runs the same step in radix base**g, with g digits per limb and
-base**g < 2**30, over up to 12 limbs of the multiplier per step.  It holds
-the multiplicand and its one carry as two ints, plus the output, so its
-memory stays linear in the operand lengths; digits become ints by ``int()``
-parses of glyph text, one per chunk of at most 640 glyphs of the
-multiplicand and one per super-limb of up to 12 limbs of the multiplier,
-and limbs become digits by table lookups (see
-``_kernels_py.incremental_product``).
+product alone, from a kernel that records nothing and whose memory stays
+linear in the operand lengths (``_kernels_py.incremental_product`` and the
+README describe how it works).
 """
 
-from carrymul import kernels
+from carrymul import _kernels_py, kernels
 from carrymul.digits import Natural, Record, check_digits, require_same_base, wrap
 from carrymul.errors import WrongAlgorithm
 
@@ -63,7 +57,8 @@ def incremental_multiply(a: Natural, b: Natural) -> Trace:
     digit and carry at zero.
     """
     base = require_same_base(a, b)
-    raw_steps, result, mults, adds = kernels.impl.incremental(a.digits, b.digits, base)
+    raw_steps = list(kernels.impl.incremental_steps(a.digits, b.digits, base))
+    result, mults, adds = _kernels_py.tally(a.digits, b.digits, raw_steps)
     steps = tuple(
         StepRecord(k, wrap(s, base), r, wrap(c, base))
         for k, (s, r, c) in enumerate(raw_steps)
@@ -128,10 +123,9 @@ TRACED = {INCREMENTAL: incremental_multiply, SCHOOLBOOK: schoolbook_multiply}
 def multiply(a: Natural, b: Natural, algorithm: str = INCREMENTAL) -> Natural:
     """Product of a and b via the chosen algorithm.
 
-    The incremental product comes from a kernel that keeps no steps: it
-    runs the paper's step in radix base**g < 2**30, holding the
-    multiplicand and its one carry as ints; schoolbook still builds its
-    Trace, since storing every row is what defines it.
+    The incremental product comes from ``incremental_product``, which keeps
+    no steps (see its docstring in ``_kernels_py``); schoolbook still builds
+    its Trace, since storing every row is what defines it.
     """
     if algorithm not in TRACED:
         raise ValueError(f"unknown algorithm {algorithm!r}")

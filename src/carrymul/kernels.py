@@ -1,22 +1,17 @@
 """Backend selection: compiled extension when available, pure Python otherwise.
 
-``impl`` is the module the rest of the package calls into for the six
-kernels that ``multiply``, ``trace`` and ``verify`` run: ``incremental``,
-``incremental_steps`` (a generator in Python, a list in C), ``schoolbook``,
-``incremental_product``, ``check_invariant`` and ``oracle_mul``, over
-little-endian digit lists or tuples (see ``_kernels_py`` for the output rule
-and the counters).  ``incremental_product``, which ``multiply`` runs,
-works in radix base**g (g digits per limb) in both backends: the
-pure-Python one, with base**g < 2**30, holds the multiplicand and its one
-carry as two ints, parses the multiplicand from glyph text with one
-``int()`` call per chunk of at most 640 glyphs and the multiplier with one
-per super-limb of up to 12 limbs, which one step takes at once, and writes
-each emitted limb as a few table lookups; the C one, with base**g <= 2**30,
-holds uint32_t limb arrays and steps one limb at a time.  The trace, verify
-and the counters stay digit-level.  The other helpers (``add``,
-``mul_by_digit``, ``strip_high_zeros``, ``divmod_base``, ``shift``, and
-``tally``, which reads either backend's incremental steps) exist only in
-``_kernels_py`` and are called from there directly.
+``impl`` is the module the rest of the package calls into for the five
+kernels that ``multiply``, ``trace`` and ``verify`` run:
+``incremental_steps``, ``incremental_product``, ``schoolbook``,
+``check_invariant`` and ``oracle_mul``, over little-endian digit lists or
+tuples (see ``_kernels_py`` for the output rule and the counters).  Both
+backends return the same values and yield the incremental steps one at a
+time.  ``incremental_product`` runs the paper's step on limbs of digits
+(see its docstring in ``_kernels_py`` and the README); the trace, verify
+and the counters stay digit-level.  The other helpers (``incremental``,
+``add``, ``mul_by_digit``, ``strip_high_zeros``, ``divmod_base``,
+``shift``, and ``tally``, which reads either backend's incremental steps)
+exist only in ``_kernels_py`` and are called from there directly.
 
 The kernels are internal and unchecked: only digits that a public entry
 point has already validated may reach them, and the two backends need not

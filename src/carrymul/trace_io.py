@@ -128,12 +128,11 @@ def write_trace(a: Natural, b: Natural, algorithm: str, fmt: str, write) -> None
     with the bytes of render_trace_* on the matching Trace (text ends with
     a newline), but building no Trace, StepRecord or per-step Natural.
 
-    Incremental steps come from ``kernels.impl.incremental_steps``: the
-    pure-Python spec yields them one at a time, so only the last step and
-    the rendered text are held; the compiled kernel returns its step list.
-    The result and the counters come from ``_kernels_py.tally`` as the
-    steps pass.  Schoolbook renders the rows its kernel returns, since
-    storing every row is what defines it.
+    Incremental steps come from ``kernels.impl.incremental_steps``, which
+    yields them one at a time on both backends, so only the last step and
+    the rendered text are held.  The result and the counters come from
+    ``_kernels_py.tally`` as the steps pass.  Schoolbook renders the rows
+    its kernel returns, since storing every row is what defines it.
     """
     base = require_same_base(a, b)
     if algorithm not in ALGORITHMS:

@@ -253,25 +253,29 @@ def test_verify_pair_holds_one_algorithm_at_a_time(backend, request, monkeypatch
     pair = traced_peak(lambda: _check_pair(a, b, 10, x * y, mismatches, failures))
     assert mismatches == failures == []
     kernel = max(
-        traced_peak(lambda: impl.incremental(a, b, 10)),
+        traced_peak(lambda: list(impl.incremental_steps(a, b, 10))),
         traced_peak(lambda: impl.schoolbook(a, b, 10)),
     )
     assert pair <= 1.2 * kernel
 
 
-def test_verify_pair_streams_the_traced_steps(monkeypatch):
-    """On the pure-Python backend the traced steps go from the generator
-    into the checker one at a time, so a verify pair keeps no step list and
-    peaks at schoolbook's rows alone (a listed trace added half as much
-    again at 256 x 256)."""
-    monkeypatch.setattr(kernels, "impl", _kernels_py)
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_verify_pair_streams_the_traced_steps(backend, request, monkeypatch):
+    """On both backends the traced steps go from the step iterator into the
+    checker one at a time, so a verify pair keeps no step list and peaks at
+    schoolbook's rows alone (a listed trace added half as much again at
+    256 x 256)."""
+    impl = _kernels_py
+    if backend == "compiled":
+        impl = request.getfixturevalue("compiled_kernels")
+    monkeypatch.setattr(kernels, "impl", impl)
     rng = random.Random(256)
     x, y = (rng.randrange(10**255, 10**256) for _ in range(2))
     a, b = from_int(x, 10).digits, from_int(y, 10).digits
     mismatches, failures = [], []
     pair = traced_peak(lambda: _check_pair(a, b, 10, x * y, mismatches, failures))
     assert mismatches == failures == []
-    assert pair <= 1.1 * traced_peak(lambda: _kernels_py.schoolbook(a, b, 10))
+    assert pair <= 1.1 * traced_peak(lambda: impl.schoolbook(a, b, 10))
 
 
 def test_multiply_commutes_on_values():

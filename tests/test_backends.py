@@ -6,6 +6,7 @@ the C source, so these checks run wherever a C compiler exists."""
 
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,14 @@ def random_vector(rng, base, max_len):
     return exact_vector(rng, base, length) if length else []
 
 
+def incremental(backend, a, b, base):
+    """(steps, result, digit_mults, digit_adds), as _kernels_py.incremental
+    lists them, from the backend's incremental_steps: the compiled mirror
+    has no list form."""
+    steps = list(backend.incremental_steps(a, b, base))
+    return (steps, *py.tally(a, b, steps))
+
+
 def value(digits, base):
     v = 0
     for d in reversed(digits):
@@ -50,22 +59,23 @@ def value(digits, base):
 
 
 def test_worked_example_per_backend(backend):
-    steps, result, mults, adds = backend.incremental([4, 3, 2, 1], [7, 6, 5], 10)
+    steps, result, mults, adds = incremental(backend, [4, 3, 2, 1], [7, 6, 5], 10)
     assert result == [8, 7, 6, 9, 9, 6]
     assert (mults, adds) == (12, 20)
     assert steps[0] == ([8, 3, 6, 8], 8, [3, 6, 8])
 
 
 def test_incremental_steps_are_the_traced_steps(backend):
-    """incremental_steps gives the steps that incremental lists, on both
-    backends, for trivial, lopsided and random shapes in several bases."""
+    """incremental_steps gives, one at a time, the steps that the spec's
+    incremental lists, on both backends, for trivial, lopsided and random
+    shapes in several bases."""
     rng = random.Random(20)
     for base in (2, 10, 16, 36):
         for la, lb in ((0, 0), (0, 3), (3, 0), (1, 1), (1, 9), (9, 1), (17, 23)):
             a, b = (exact_vector(rng, base, n) if n else [] for n in (la, lb))
-            steps, *counted = backend.incremental(a, b, base)
-            assert list(backend.incremental_steps(a, b, base)) == steps
-            assert list(_kernels_py.tally(a, b, steps)) == counted
+            stream = backend.incremental_steps(a, b, base)
+            assert iter(stream) is stream
+            assert list(stream) == py.incremental(a, b, base)[0]
 
 
 def assert_canonical(digits, base):
@@ -81,7 +91,7 @@ def test_backend_against_int_arithmetic(backend):
         a = random_vector(rng, base, 12)
         b = random_vector(rng, base, 12)
         va, vb = value(a, base), value(b, base)
-        steps, res, _, _ = backend.incremental(a, b, base)
+        steps, res, _, _ = incremental(backend, a, b, base)
         assert value(res, base) == va * vb
         product = backend.incremental_product(a, b, base)
         assert product == res
@@ -126,7 +136,7 @@ def test_backends_agree_everywhere(compiled_kernels):
         a = random_vector(rng, base, 24)
         b = random_vector(rng, base, 24)
         traced = py.incremental(a, b, base)
-        assert traced == cy.incremental(a, b, base)
+        assert traced == incremental(cy, a, b, base)
         product = traced[1]
         assert py.incremental_product(a, b, base) == product
         assert cy.incremental_product(a, b, base) == product
@@ -136,6 +146,8 @@ def test_backends_agree_everywhere(compiled_kernels):
         assert py.check_invariant(a, b, steps, base) == cy.check_invariant(
             a, b, steps, base
         )
+        lazy = cy.check_invariant(a, b, cy.incremental_steps(a, b, base), base)
+        assert lazy == [True] * len(b)
 
 
 def test_backends_agree_on_corrupted_steps(compiled_kernels):
@@ -296,7 +308,7 @@ def test_counters_follow_the_convention(compiled_kernels, inputs):
             sch_adds += add_cost(acc, row, base)
         acc += row
     for backend in (py, compiled_kernels):
-        assert backend.incremental(a, b, base)[2:] == (mults, inc_adds)
+        assert incremental(backend, a, b, base)[2:] == (mults, inc_adds)
         assert backend.schoolbook(a, b, base)[2:] == (mults, sch_adds)
 
 
@@ -329,8 +341,8 @@ def test_oracle_matches_int_arithmetic(compiled_kernels, base, data):
 
 
 def test_trivial_shapes(backend):
-    assert backend.incremental([], [], 10) == ([], [], 0, 0)
-    assert backend.incremental([], [3], 10) == ([([], 0, [])], [], 0, 0)
+    assert incremental(backend, [], [], 10) == ([], [], 0, 0)
+    assert incremental(backend, [], [3], 10) == ([([], 0, [])], [], 0, 0)
     assert backend.schoolbook([1], [], 10) == ([], [], 0, 0)
     assert backend.schoolbook([5], [0, 1], 10) == ([[], [0, 5]], [0, 5], 2, 4)
     assert backend.oracle_mul([], [5], 10) == []
@@ -423,7 +435,7 @@ def chunk_edge_shapes(rng):
 
 def assert_product(backend, a, b, base):
     product = backend.incremental_product(a, b, base)
-    assert product == backend.incremental(a, b, base)[1]
+    assert product == incremental(backend, a, b, base)[1]
     assert value(product, base) == value(a, base) * value(b, base)
     assert_canonical(product, base)
 
@@ -477,8 +489,10 @@ def test_spec_helpers_trivial_shapes():
 GOOD = [4, 3]
 STEPS = py.incremental(GOOD, GOOD, 10)[0]
 HOSTILE_CALLS = {
-    "incremental.a": lambda c, x: c.incremental([x], GOOD, 10),
-    "incremental.b": lambda c, x: c.incremental(GOOD, [x], 10),
+    # the steps listed and tallied, as incremental_multiply reads them
+    "incremental.a": lambda c, x: incremental(c, [x], GOOD, 10),
+    "incremental.b": lambda c, x: incremental(c, GOOD, [x], 10),
+    # at the call, before any step is taken
     "incremental_steps.a": lambda c, x: c.incremental_steps([x], GOOD, 10),
     "incremental_steps.b": lambda c, x: c.incremental_steps(GOOD, [x], 10),
     "incremental_product.a": lambda c, x: c.incremental_product([x], GOOD, 10),
@@ -521,7 +535,7 @@ HOSTILE_DIGITS = [
 @pytest.mark.parametrize("call", HOSTILE_CALLS.values(), ids=HOSTILE_CALLS.keys())
 def test_compiled_kernels_reject_hostile_digits(compiled_kernels, call, digit, error):
     """A digit that is not an int in 0..base-1 raises instead of being cast
-    to a byte (a cast turned incremental([300], [3], 10) into [2, 13])."""
+    to a byte (a cast turned the product of [300] and [3] into [2, 13])."""
     with pytest.raises(error):
         call(compiled_kernels, digit)
 
@@ -586,7 +600,49 @@ def test_public_entry_points_reject_hostile_digits_alike(
 @pytest.mark.parametrize("base", [0, 1, 37, 256])
 def test_compiled_kernels_reject_bad_base(compiled_kernels, base):
     with pytest.raises(ValueError):
-        compiled_kernels.incremental([1], [1], base)
+        compiled_kernels.incremental_steps([1], [1], base)
+
+
+def test_dropped_step_iterators_free_their_state(backend):
+    """1000 incremental_steps iterators, each dropped after one step, leave
+    traced memory within a few KiB of where it started: an iterator frees
+    what it holds when it is dropped part way."""
+    rng = random.Random(1000)
+    a, b = exact_vector(rng, 10, 64), exact_vector(rng, 10, 64)
+    next(backend.incremental_steps(a, b, 10))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(1000):
+            next(backend.incremental_steps(a, b, 10))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 4 * 1024
+
+
+class StepsFailed(Exception):
+    pass
+
+
+def test_check_invariant_passes_on_an_error_from_its_steps(backend):
+    """The checker reads its steps one at a time, so an exception that the
+    iterable raises part way reaches the caller as it was raised."""
+    a, b = [4, 3, 2, 1], [7, 6, 5]
+
+    def steps():
+        stream = backend.incremental_steps(a, b, 10)
+        yield next(stream)
+        yield next(stream)
+        raise StepsFailed
+
+    with pytest.raises(StepsFailed):
+        backend.check_invariant(a, b, steps(), 10)
+
+
+def test_check_invariant_rejects_steps_that_are_not_iterable(backend):
+    with pytest.raises(TypeError):
+        backend.check_invariant([4, 3], [4, 3], 5, 10)
 
 
 def test_public_api_on_compiled_kernels(compiled_kernels, monkeypatch):
@@ -601,11 +657,10 @@ def test_public_api_on_compiled_kernels(compiled_kernels, monkeypatch):
 
 
 def test_compiled_mirror_holds_only_the_hot_kernels(compiled_kernels):
-    """The C file mirrors the six kernels multiply, trace and verify run,
+    """The C file mirrors the five kernels multiply, trace and verify run,
     each against its spec in _kernels_py, and nothing else."""
     names = {name for name in dir(compiled_kernels) if not name.startswith("_")}
     assert names == {
-        "incremental",
         "incremental_steps",
         "incremental_product",
         "schoolbook",
