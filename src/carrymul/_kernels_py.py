@@ -90,6 +90,8 @@ def add(a, b, base):
 
 def mul_by_digit(a, d, base):
     """Return a * d for a single digit d."""
+    if not d:
+        return []
     la = len(a)
     out = [0] * la
     carry = 0
@@ -97,8 +99,7 @@ def mul_by_digit(a, d, base):
         carry, out[i] = divmod(a[i] * d + carry, base)
     if carry:
         out.append(carry)
-    # only d == 0 can leave high zeros
-    return strip_high_zeros(out) if d == 0 else out
+    return out
 
 
 def divmod_base(n):
@@ -303,6 +304,10 @@ def check_invariant(a, b, steps, base):
     r[i] (i <= k) equals digit i, latched, the carry equals the digits
     above k by value (high zeros ignored), and s equals r followed by those
     digits, by value: O(len(a)) work per step, with no multiply.
+
+    One entry per k < max(len(steps), len(b)): a step past the last digit
+    of b is False, and so is each digit of b with no step, so all(flags)
+    alone certifies a run.
     """
     la, lb = len(a), len(b)
     rhs = [0] * (la + lb)
@@ -324,7 +329,7 @@ def check_invariant(a, b, steps, base):
             and strip_high_zeros(list(carry)) == high
             and strip_high_zeros(list(s)) == ([r, *high] if r or high else [])
         )
-    return flags
+    return flags + [False] * (lb - len(flags))
 
 
 def oracle_mul(a, b, base):

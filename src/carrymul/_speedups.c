@@ -60,7 +60,7 @@ add_into(const u8 *x, Py_ssize_t lx, const u8 *y, Py_ssize_t ly,
 }
 
 /* out = x * d; out needs room for lx + 1 digits.  A zero digit gives the
-   empty vector, like the strip_high_zeros call in _kernels_py.mul_by_digit. */
+   empty vector, as in _kernels_py.mul_by_digit. */
 static Py_ssize_t
 mul_into(const u8 *x, Py_ssize_t lx, int d, u8 *out, int base)
 {
@@ -396,7 +396,8 @@ done:
    rhs[0..k] (latched in low_ok), the carry equals rhs[k+1..k+la] and s
    equals rhs[k..k+la] by value, which then makes s = r + base * carry.
    Every r, carry and s digit of steps below len(b) is read, mismatch or
-   not, so a bad digit always raises. */
+   not, so a bad digit always raises.  A step past len(b) is False, and so
+   is each digit of b that got no step, so all(flags) certifies a run. */
 static PyObject *
 py_check_invariant(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -447,8 +448,12 @@ py_check_invariant(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             goto done;
         Py_CLEAR(step);
     }
-    if (!PyErr_Occurred())
-        res = Py_NewRef(flags);
+    if (PyErr_Occurred())
+        goto done;
+    while (PyList_GET_SIZE(flags) < lb)  /* the steps stopped early */
+        if (PyList_Append(flags, Py_False) < 0)
+            goto done;
+    res = Py_NewRef(flags);
 done:
     Py_XDECREF(step);
     Py_XDECREF(steps);

@@ -99,7 +99,8 @@ def check_invariant(trace: Trace) -> list[bool]:
     digit plus base times that carry.  The right side is recomputed from
     the multiplicand and the multiplier alone with exact digit-vector
     arithmetic; each step's sum, emitted digit and carry are only read back
-    and compared.
+    and compared.  A step past the last multiplier digit, and each digit
+    that has no step, is False, so ``all`` of the flags certifies the run.
     """
     if trace.algorithm != INCREMENTAL:
         raise WrongAlgorithm(trace.algorithm)

@@ -112,19 +112,13 @@ def run(argv) -> int:
             from carrymul import oracle
 
             if args.random == (args.limit is not None):
-                print(
-                    "carrymul: verify needs exactly one of --limit or --random",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
+                raise ValueError("verify needs exactly one of --limit or --random")
             if args.random:
                 if args.base is not None:
-                    print(
-                        "carrymul: --base applies to --limit mode only "
-                        "(random trials sweep bases 2..36)",
-                        file=sys.stderr,
+                    raise ValueError(
+                        "--base applies to --limit mode only "
+                        "(random trials sweep bases 2..36)"
                     )
-                    return EXIT_USAGE
                 trials, max_digits, seed = (
                     default if getattr(args, dest) is None else getattr(args, dest)
                     for dest, default in RANDOM_DEFAULTS.items()
@@ -136,11 +130,7 @@ def run(argv) -> int:
                 for dest in RANDOM_DEFAULTS:
                     if getattr(args, dest) is not None:
                         flag = "--" + dest.replace("_", "-")
-                        print(
-                            f"carrymul: {flag} applies to --random mode only",
-                            file=sys.stderr,
-                        )
-                        return EXIT_USAGE
+                        raise ValueError(f"{flag} applies to --random mode only")
                 report = oracle.exhaustive_check(args.limit, args.base or 10)
             _emit(args, report, oracle.render_report_json, oracle.render_report_text)
             return EXIT_OK if report.ok() else EXIT_MISMATCH

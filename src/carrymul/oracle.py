@@ -147,11 +147,9 @@ def _check_pair(ad, bd, base, expected, mismatches, failures):
     kernel behind ``multiply``.  The traced steps go straight into the
     invariant checker and are certified by its flags alone: the last flag
     holds exactly when the emitted digits plus the final carry equal a·b,
-    and a step list shorter than b fails at its first missing step."""
+    and the checker flags each missing or surplus step as False."""
     impl = kernels.impl
     flags = impl.check_invariant(ad, bd, impl.incremental_steps(ad, bd, base), base)
-    if len(flags) < len(bd):
-        flags.append(False)
     res_inc = impl.incremental_product(ad, bd, base)
     _, res_sch, _, _ = impl.schoolbook(ad, bd, base)
     res_orc = impl.oracle_mul(ad, bd, base)
@@ -191,8 +189,10 @@ def _verify(mode, params, pairs) -> VerifyReport:
     for ad, bd, base, expected in pairs:
         _check_pair(ad, bd, base, expected, mismatches, failures)
         checked += 1
-    mismatches.sort(key=lambda m: (m.base, int(m.a, m.base), int(m.b, m.base)))
-    failures.sort(key=lambda f: (f.base, int(f.a, f.base), int(f.b, f.base), f.step))
+    # canonical glyphs sort in value order, so a longer operand is larger
+    # and equal lengths compare as text: numeric order with no int() parse
+    mismatches.sort(key=lambda m: (m.base, len(m.a), m.a, len(m.b), m.b))
+    failures.sort(key=lambda f: (f.base, len(f.a), f.a, len(f.b), f.b, f.step))
     elapsed = time.perf_counter() - started
     return VerifyReport(mode, params, checked, tuple(mismatches), tuple(failures), elapsed)
 

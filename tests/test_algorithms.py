@@ -107,17 +107,24 @@ def test_check_invariant_vacuous_on_empty_steps():
 def test_check_invariant_catches_corrupted_digit():
     trace = incremental_multiply(n("1234"), n("567"))
     s0, s1, s2 = trace.steps
-    corrupted = Trace(
-        algorithm=trace.algorithm,
-        base=trace.base,
-        a=trace.a,
-        b=trace.b,
-        steps=(s0, StepRecord(s1.k, s1.s, 8, s1.c_next), s2),
-        rows=(),
-        result=trace.result,
-        counters=trace.counters,
-    )
+
+    def with_steps(*steps):
+        return Trace(
+            algorithm=trace.algorithm,
+            base=trace.base,
+            a=trace.a,
+            b=trace.b,
+            steps=steps,
+            rows=(),
+            result=trace.result,
+            counters=trace.counters,
+        )
+
+    corrupted = with_steps(s0, StepRecord(s1.k, s1.s, 8, s1.c_next), s2)
     assert check_invariant(corrupted) == [True, False, False]
+    # a trace cut short fails at each step it is missing
+    assert check_invariant(with_steps(s0, s1)) == [True, True, False]
+    assert check_invariant(with_steps()) == [False] * 3
 
 
 def test_check_invariant_rejects_schoolbook_trace():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carrymul import _kernels_py, errors, kernels
+from carrymul._kernels_py import CHUNK
 from carrymul.algorithms import StepRecord, Trace, check_invariant, incremental_multiply
 from carrymul.digits import Natural, from_int, parse_natural, to_int
 from carrymul.oracle import all_bases, exhaustive_check, random_check
@@ -21,9 +22,6 @@ from carrymul.trace_io import render_trace_json, render_trace_text
 
 py = _kernels_py
 GOLDEN = Path(__file__).parent / "golden"
-# the smallest int <-> str cap CPython accepts, the longest parse the
-# pure-Python incremental_product makes (Pythons before 3.10.7 have no cap)
-CHUNK = getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 
 @pytest.fixture(params=["python", "compiled"])
@@ -173,6 +171,11 @@ def test_backends_agree_on_corrupted_steps(compiled_kernels):
     expected = [False, True, True]
     assert py.check_invariant([4, 3, 2, 1], [7, 6, 5], steps, 10) == expected
     assert cy.check_invariant([4, 3, 2, 1], [7, 6, 5], steps, 10) == expected
+    # steps that stop early: each digit of b with no step is False
+    steps, _, _, _ = py.incremental([4, 3, 2, 1], [7, 6, 5], 10)
+    for steps, expected in ((steps[:2], [True, True, False]), ([], [False] * 3)):
+        assert py.check_invariant([4, 3, 2, 1], [7, 6, 5], steps, 10) == expected
+        assert cy.check_invariant([4, 3, 2, 1], [7, 6, 5], steps, 10) == expected
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])
@@ -182,7 +185,7 @@ def test_check_invariant_mutation_sweep(backend, base, la, lb):
     in turn.  A bad r_k breaks the prefix, so steps k..end fail; a bad carry
     out of step k, or a bad s_k, is read by step k alone, because the right
     side is rebuilt from a and b; a high zero on a carry or a sum leaves its
-    value, so nothing fails."""
+    value, so nothing fails.  Steps cut off before step k fail from k on."""
     rng = random.Random(base * 100 + la * 10 + lb)
     for _ in range(4):
         a, b = exact_vector(rng, base, la), exact_vector(rng, base, lb)
@@ -194,6 +197,7 @@ def test_check_invariant_mutation_sweep(backend, base, la, lb):
 
         assert flags(steps) == [True] * n
         for k, (s, r, carry) in enumerate(steps):
+            assert flags(steps[:k]) == [i < k for i in range(n)]
             bad = list(steps)
             bad[k] = (s, (r + 1) % base, carry)
             assert flags(bad) == [i < k for i in range(n)]
@@ -217,7 +221,7 @@ def checker_inputs(draw):
     """Operands, and a step list that starts from the true trace and then
     swaps in arbitrary in-range digits: any r, carries and sums of any
     length (empty and with high zeros included), and steps past the last
-    multiplier digit."""
+    multiplier digit or a list cut off before it."""
     base = draw(st.integers(2, 36))
     digit = st.integers(0, base - 1)
     a = py.strip_high_zeros(draw(st.lists(digit, max_size=8)))
@@ -238,15 +242,17 @@ def checker_inputs(draw):
         steps.append((s, r, carry))
     extra = st.tuples(st.just([]), digit, st.lists(digit, max_size=3))
     steps += draw(st.lists(extra, max_size=2))
+    steps = steps[: draw(st.one_of(st.just(len(steps)), st.integers(0, len(steps))))]
     return a, b, steps, base
 
 
 @settings(max_examples=300)
 @given(checker_inputs())
 def test_check_invariant_matches_int_arithmetic(compiled_kernels, inputs):
-    """Flag k holds iff k < len(b), the emitted digits through step k plus
-    base**(k+1) times its carry equal a times b mod base**(k+1), and its sum
-    is s = r + base * carry."""
+    """There is one flag for each k < max(len(steps), len(b)).  Flag k
+    holds iff k < len(b), step k exists, the emitted digits through step k
+    plus base**(k+1) times its carry equal a times b mod base**(k+1), and
+    its sum is s = r + base * carry."""
     a, b, steps, base = inputs
     va, vb = value(a, base), value(b, base)
     expected = []
@@ -255,6 +261,7 @@ def test_check_invariant_matches_int_arithmetic(compiled_kernels, inputs):
         lhs = low + base ** (k + 1) * value(carry, base)
         sum_ok = value(s, base) == r + base * value(carry, base)
         expected.append(k < len(b) and lhs == va * (vb % base ** (k + 1)) and sum_ok)
+    expected += [False] * (len(b) - len(steps))
     assert py.check_invariant(a, b, steps, base) == expected
     assert compiled_kernels.check_invariant(a, b, steps, base) == expected
 
@@ -627,17 +634,19 @@ class StepsFailed(Exception):
 
 def test_check_invariant_passes_on_an_error_from_its_steps(backend):
     """The checker reads its steps one at a time, so an exception that the
-    iterable raises part way reaches the caller as it was raised."""
+    iterable raises part way, or before its first step, reaches the caller
+    as it was raised, not as steps missing."""
     a, b = [4, 3, 2, 1], [7, 6, 5]
 
-    def steps():
+    def steps(n):
         stream = backend.incremental_steps(a, b, 10)
-        yield next(stream)
-        yield next(stream)
+        for _ in range(n):
+            yield next(stream)
         raise StepsFailed
 
-    with pytest.raises(StepsFailed):
-        backend.check_invariant(a, b, steps(), 10)
+    for n in (2, 0):
+        with pytest.raises(StepsFailed):
+            backend.check_invariant(a, b, steps(n), 10)
 
 
 def test_check_invariant_rejects_steps_that_are_not_iterable(backend):

@@ -136,17 +136,21 @@ def test_verify_random(capsys):
 
 
 def test_verify_needs_exactly_one_mode(capsys):
-    assert run(["verify"]) == 1
-    assert run(["verify", "--limit", "5", "--random"]) == 1
-    _, err = capsys.readouterr()
-    assert "verify needs exactly one of" in err
+    for argv in (["verify"], ["verify", "--limit", "5", "--random"]):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "carrymul: verify needs exactly one of --limit or --random\n"
 
 
 def test_verify_random_rejects_base_flag(capsys):
     assert run(["verify", "--random", "--trials", "2", "--base", "12"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "--limit mode only" in err
+    assert err == (
+        "carrymul: --base applies to --limit mode only "
+        "(random trials sweep bases 2..36)\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -178,6 +182,39 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "status: FAIL" in out
     assert "mismatches: 1" in out
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str cap before 3.10.7"
+)
+def test_verify_mismatch_past_the_str_digits_cap_exits_2(
+    capsys, monkeypatch, compiled_kernels
+):
+    """A mismatch between operands of thousands of digits is reported and
+    exits 2: sorting and rendering the findings parse no operand back, so
+    CPython's int <-> str cap never applies.  The stub wraps the compiled
+    kernels, which keep two such pairs fast."""
+
+    class Stub:
+        def __getattr__(self, name):
+            return getattr(compiled_kernels, name)
+
+        @staticmethod
+        def incremental_product(a, b, base):
+            return compiled_kernels.incremental_product(a, b, base) + [1]
+
+    monkeypatch.setattr(kernels, "impl", Stub())
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_kernels_py.CHUNK)
+    try:
+        argv = ["verify", "--random", "--trials", "2", "--max-digits", "5000"]
+        assert run([*argv, "--seed", "3"]) == 2
+    finally:
+        sys.set_int_max_str_digits(cap)
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "mismatches: 2\n" in out
+    assert out.endswith("status: FAIL\n")
 
 
 def test_bench_text(capsys):

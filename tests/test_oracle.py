@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from carrymul import kernels, oracle
+from carrymul._kernels_py import CHUNK
 from carrymul.bench import compare_algorithms
 from carrymul.digits import from_int, parse_natural, to_int
 from carrymul.errors import BaseOutOfRange
@@ -253,15 +256,20 @@ def test_random_masks_negative_seeds(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fault",
-    [lambda steps: steps[:-1], lambda steps: steps[:-1] + [(*steps[-1][:2], [])]],
-    ids=["stops-one-step-early", "drops-the-final-carry"],
+    "fault, failed",
+    [
+        (lambda steps: steps[:-1], [1]),
+        (lambda steps: steps[:-1] + [(*steps[-1][:2], [])], [1]),
+        (lambda steps: [], [0, 1]),
+    ],
+    ids=["stops-one-step-early", "drops-the-final-carry", "takes-no-step"],
 )
-def test_verify_certifies_the_traced_steps_by_their_flags(monkeypatch, fault):
+def test_verify_certifies_the_traced_steps_by_their_flags(monkeypatch, fault, failed):
     """The traced route reaches the report only through its invariant flags,
     since the pair's incremental value comes from incremental_product.  A
-    step list that stops early, or ends on a wrong carry, fails at that step
-    while the product stays right."""
+    step list that stops early fails at each step it is missing, and one
+    that ends on a wrong carry fails at that step, while the product stays
+    right."""
     real = kernels.impl
 
     class Stub:
@@ -276,7 +284,9 @@ def test_verify_certifies_the_traced_steps_by_their_flags(monkeypatch, fault):
     monkeypatch.setattr(kernels, "impl", Stub())
     report = exhaustive_check(50, 10)
     assert report.mismatches == ()
-    assert [(f.a, f.b, f.step) for f in report.invariant_failures] == [("12", "43", 1)]
+    assert [(f.a, f.b, f.step) for f in report.invariant_failures] == [
+        ("12", "43", step) for step in failed
+    ]
 
 
 def test_mismatch_reporting_via_stubbed_backend(monkeypatch):
@@ -303,3 +313,46 @@ def test_mismatch_reporting_via_stubbed_backend(monkeypatch):
     assert (m.a, m.b, m.expected) == ("11", "11", "121")
     assert m.incremental != m.expected
     assert m.schoolbook == m.oracle == "121"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str cap before 3.10.7"
+)
+def test_findings_sort_by_value_without_parsing_the_operands(monkeypatch):
+    """Findings are listed by base, then by the operands' values, then by
+    step, with no int() parse of the rendered operands: under CPython's
+    lowest int <-> str cap, pairs of up to 700 digits still sort.  The
+    one-digit run sorts operands of equal length."""
+    real = kernels.impl
+
+    class Stub:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        @staticmethod
+        def incremental_product(a, b, base):
+            return real.incremental_product(a, b, base) + [1]
+
+        @staticmethod
+        def incremental_steps(a, b, base):
+            return list(real.incremental_steps(a, b, base))[:-1]
+
+    def key(finding):
+        base = finding.base
+        return base, to_int(n(finding.a, base)), to_int(n(finding.b, base))
+
+    monkeypatch.setattr(kernels, "impl", Stub())
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(CHUNK)
+    try:
+        for trials, max_digits, seed in ((4, 700, 5), (100, 1, 1)):
+            report = random_check(trials, max_digits, [2, 10], seed)
+            assert len(report.mismatches) == len(report.invariant_failures) == trials
+            mismatches = [key(m) for m in report.mismatches]
+            assert mismatches == sorted(mismatches)
+            failures = [(*key(f), f.step) for f in report.invariant_failures]
+            assert failures == sorted(failures)
+            if max_digits > CHUNK:
+                assert max(len(m.a) for m in report.mismatches) > CHUNK
+    finally:
+        sys.set_int_max_str_digits(cap)
