@@ -159,6 +159,10 @@ STEP_LIMBS = 12
 # digit v -> its glyph, the text int(glyphs, base) parses; bytes 36..255
 # map to 0xFF, which int() rejects
 GLYPHS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"\xff")
+# glyph -> its digit value, the inverse of GLYPHS
+GLYPH_VALUES = bytes.maketrans(GLYPHS[:36], bytes(range(36)))
+# base -> the format() code that writes its glyphs, high digit first
+FORMAT_CODES = {2: "b", 8: "o", 10: "d", 16: "x"}
 
 
 @cache
@@ -180,18 +184,23 @@ def limb_radix(base):
 
 
 @cache
-def piece_table(base):
-    """(h, top_rows, spans), built once per base on first use.
+def step_format(base, t):
+    """(R**t, the format() spec of t limbs, t*g glyphs) for a base in
+    FORMAT_CODES, with (g, R) from ``limb_radix``; built once per (base, t)."""
+    g, radix = limb_radix(base)
+    return radix**t, f"0{t * g}{FORMAT_CODES[base]}"
 
-    A limb of g digits (``limb_radix``) is written as ceil(g/h) pieces, low
-    first: h is the largest count with base**h <= 2**11, capped at g, and
-    every piece has h digits but the top one, which has the g mod h digits
-    left when h does not divide g.  A piece's rows[v] is the little-endian
-    digits of v < base**(its digits), as bytes; top_rows are the top
-    piece's.  spans[t], for t in 1..STEP_LIMBS, is (base**(g*t), layout):
-    the layout is the (divisor, rows) pairs that split t limbs, held as one
-    int x, up to their top piece, by ``x, low = divmod(x, divisor)`` and a
-    lookup of rows[low] each; x is then the top piece.
+
+@cache
+def piece_table(base):
+    """(h, top_rows, spans), the writer of the bases without a format()
+    code, built once per base on first use.
+
+    A limb is written as pieces of h digits, low first, h being the largest
+    count with base**h <= 2**11, capped at g; the top piece holds the
+    g mod h digits left, if h does not divide g.  rows[v] is the
+    little-endian digits of v as bytes.  spans[t] is (R**t, the (divisor,
+    rows) pairs that split t limbs by divmod up to their top piece).
     """
     g, radix = limb_radix(base)
     digits = [bytes((d,)) for d in range(base)]
@@ -212,7 +221,7 @@ def incremental_product(a, b, base):
     over a super-limb B_j of t limbs of b at once, in radix R**t:
     ``carry, r = divmod(A * B_j + carry, R**t)``.  The low t limbs r are
     emitted and the carry, below A, goes on to the next step; after the
-    last step the carry is split one limb at a time by ``divmod(carry, R)``.
+    last step the carry is cut t limbs at a time by the same divmod.
     The method does not depend on the radix (Knuth, TAOCP Vol. 2 §4.3.1),
     and CPython's own limb loops do the multiply and the divide.  b's n
     limbs are cut into ceil(n / STEP_LIMBS) super-limbs of equal width,
@@ -227,17 +236,19 @@ def incremental_product(a, b, base):
     first, and the chunks are joined by Horner's rule in radix
     base**CHUNK (Knuth, TAOCP Vol. 2 §4.4).  b is padded with zero glyphs
     to whole super-limbs, parsed as the steps run, one ``int()`` per
-    super-limb of up to 12 limbs, low first.  No parse exceeds CHUNK
-    glyphs, so CPython's cap on int <-> str digits never applies.  Each
-    step's r is written into one bytearray straight from the super-limb,
-    t * ceil(g/h) lookups in ``piece_table``, with no split into limbs
-    first.
+    super-limb of up to 12 limbs, low first.  In bases 2, 8, 10 and 16
+    (``FORMAT_CODES``) each r goes out the same way: ``format(r, spec)``
+    gives its t*g glyphs, high digit first (``step_format``), and after the
+    last step the text is reversed and translated to digit values once.  No
+    parse or format exceeds CHUNK glyphs (a base-10 step is at most
+    12 * 9 = 108), so CPython's cap on int <-> str digits never applies.
+    Every other base writes r into one bytearray straight from the
+    super-limb, t * ceil(g/h) lookups in ``piece_table``.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
     g = limb_radix(base)[0]
-    _, top_rows, spans = piece_table(base)
     glyphs = bytes(reversed(a)).translate(GLYPHS)
     head = (la - 1) % CHUNK + 1
     big_a = int(glyphs[:head], base)
@@ -250,26 +261,32 @@ def incremental_product(a, b, base):
     w = t * g
     k = -(-n // t) * w  # b's glyphs not yet stepped over
     glyphs = bytes(reversed(b)).translate(GLYPHS).rjust(k, b"0")
-    radix, pieces = spans[t]
-    out = bytearray()
+    if base in FORMAT_CODES:
+        radix, spec = step_format(base, t)
+        out = []
+    else:
+        spec = None
+        _, top_rows, spans = piece_table(base)
+        radix, pieces = spans[t]
+        out = bytearray()
     carry = 0
-    while k:
-        carry, r = divmod(big_a * int(glyphs[k - w : k], base) + carry, radix)
-        k -= w
-        for divisor, rows in pieces:
-            r, low = divmod(r, divisor)
-            out += rows[low]
-        out += top_rows[r]
-    radix, pieces = spans[1]
-    while carry:  # the steps are done: split the carry one limb at a time
+    while k or carry:  # once b is stepped over, the carry is cut as b was
+        if k:
+            carry += big_a * int(glyphs[k - w : k], base)
+            k -= w
         carry, r = divmod(carry, radix)
+        if spec:
+            out.append(format(r, spec))
+            continue
         for divisor, rows in pieces:
             r, low = divmod(r, divisor)
             out += rows[low]
         out += top_rows[r]
     del glyphs  # the list below sets the peak: hold no more beside it
-    while out and not out[-1]:
-        out.pop()
+    if spec:
+        out.reverse()
+        out = "".join(out).encode()[::-1].translate(GLYPH_VALUES)
+    out = out.rstrip(b"\0")
     return list(out)
 
 

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from carrymul import _kernels_py, errors, kernels
 from carrymul._kernels_py import CHUNK
-from carrymul.algorithms import StepRecord, Trace, check_invariant, incremental_multiply
+from carrymul.algorithms import (
+    StepRecord,
+    Trace,
+    check_invariant,
+    incremental_multiply,
+    multiply,
+)
 from carrymul.digits import Natural, from_int, parse_natural, to_int
 from carrymul.oracle import all_bases, exhaustive_check, random_check
 from carrymul.trace_io import render_trace_json, render_trace_text
@@ -372,8 +378,9 @@ def test_trivial_shapes(backend):
         (long, [9], 10),
         ([9], long, 10),
     ]
-    # limb edges of incremental_product, which packs g digits per limb and
-    # writes each limb as pieces of h digits; the C kernel's g is its own
+    # limb edges of incremental_product, which packs g digits per limb and,
+    # in a base with no format() code, writes each limb as pieces of h
+    # digits; the C kernel's g is its own
     for base in all_bases():
         g = py.limb_radix(base)[0]
         h = py.piece_table(base)[0]
@@ -396,8 +403,29 @@ def test_trivial_shapes(backend):
         below_top = g - (g % h or h)
         zero_top = [top] * below_top + [0] * (g - below_top) + [1]
         shapes += [(zero_top, [1], base), ([1], zero_top, base), (zero_top[:below_top], [1], base)]
+    shapes += format_edge_shapes(rng)
     for a, b, base in shapes + chunk_edge_shapes(rng) + super_limb_edge_shapes(rng):
         assert_product(backend, a, b, base)
+
+
+def format_edge_shapes(rng):
+    """Edges of the steps that incremental_product writes with format() in
+    bases 2, 8, 10 and 16, w = t*g glyphs each, for steps of one limb and
+    of STEP_LIMBS limbs: products that are powers of the base,
+    base**(w - 1), base**w and base**(w + 1), from b and from a; and a b
+    of three full steps whose middle step is all zeros."""
+    shapes = []
+    for base in py.FORMAT_CODES:
+        g = py.limb_radix(base)[0]
+        for w in (g, py.STEP_LIMBS * g):
+            for n in (w - 1, w, w + 1):
+                power = [0] * n + [1]
+                shapes += [([1], power, base), (power, [1], base)]
+        step = py.STEP_LIMBS * g
+        b = exact_vector(rng, base, 3 * step)
+        b[step : 2 * step] = [0] * step
+        shapes += [(exact_vector(rng, base, 2 * g + 1), b, base), ([base - 1] * step, b, base)]
+    return shapes
 
 
 def c_limb_digits(base):
@@ -453,7 +481,10 @@ def assert_product(backend, a, b, base):
 def test_incremental_product_under_the_lowest_str_digits_cap(backend):
     """With CPython's int <-> str cap set as low as it goes, to CHUNK
     digits, every chunk edge still multiplies: a parse of more than CHUNK
-    glyphs in one int() call would raise here."""
+    glyphs in one int() call would raise here.  It guards the writes too:
+    the 2 * CHUNK + 1 by 11 and 4500 by 19 base-10 shapes leave final
+    carries past 640 and 4300 digits, which one format() call would have to
+    write whole."""
     rng = random.Random(CHUNK)
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(CHUNK)
@@ -482,6 +513,39 @@ def test_incremental_product_parses_b_once_per_super_limb(monkeypatch):
     limbs = -(-512 // py.limb_radix(10)[0])
     assert limbs == 57
     assert len(parses) == 1 + -(-limbs // py.STEP_LIMBS)
+
+
+def test_format_and_piece_writers_agree(monkeypatch):
+    """In bases 2, 8, 10 and 16 incremental_product writes its digits with
+    format(); forced through piece_table instead, by emptying the code
+    table, it gives the same products, so the piece writer stays tested in
+    the bases most tests use."""
+    rng = random.Random(28)
+    shapes = []
+    for base in py.FORMAT_CODES:
+        g = py.limb_radix(base)[0]
+        for _ in range(40):
+            la, lb = (rng.randint(1, 30 * g) for _ in range(2))
+            shapes.append((exact_vector(rng, base, la), exact_vector(rng, base, lb), base))
+    shapes += format_edge_shapes(rng)
+    formatted = [py.incremental_product(a, b, base) for a, b, base in shapes]
+    monkeypatch.setattr(py, "FORMAT_CODES", {})
+    for (a, b, base), product in zip(shapes, formatted):
+        assert py.incremental_product(a, b, base) == product
+        assert value(product, base) == value(a, base) * value(b, base)
+        assert_canonical(product, base)
+
+
+def test_base_10_multiply_builds_no_piece_table(monkeypatch):
+    """A base-10 multiply writes with format() and leaves piece_table's
+    cache without a base-10 entry; a base-36 one still builds its table."""
+    monkeypatch.setattr(kernels, "impl", py)
+    py.piece_table.cache_clear()
+    x, y = parse_natural("12345678", 10), parse_natural("87654321", 10)
+    assert str(multiply(x, y)) == str(12345678 * 87654321)
+    assert py.piece_table.cache_info().currsize == 0
+    multiply(parse_natural("zz", 36), parse_natural("zz", 36))
+    assert py.piece_table.cache_info().currsize == 1
 
 
 def test_spec_helpers_trivial_shapes():
