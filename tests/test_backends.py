@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 
 from carrymul import _kernels_py, errors, kernels
 from carrymul._kernels_py import CHUNK
-from carrymul.algorithms import (
-    StepRecord,
-    Trace,
-    check_invariant,
-    incremental_multiply,
-    multiply,
-)
+from carrymul.algorithms import StepRecord, Trace, check_invariant, incremental_multiply, multiply
 from carrymul.digits import Natural, from_int, parse_natural, to_int
 from carrymul.oracle import all_bases, exhaustive_check, random_check
 from carrymul.trace_io import render_trace_json, render_trace_text
